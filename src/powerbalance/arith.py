@@ -36,10 +36,13 @@ def nu(p: int, x: int) -> int:
     """Largest t such that p**t divides x (the p-adic valuation of x).
 
     p must be prime (checked by trial division for p <= PRIMALITY_CHECK_BOUND)
-    and x nonzero: nu(p, 0) is undefined and raises.
+    and x nonzero: nu(p, 0) is undefined and raises.  For p = 2 the answer
+    is read off the lowest set bit of x, in one pass over its digits.
     """
     if x == 0:
         raise ValueError("valuation of 0 is undefined")
+    if p == 2:
+        return (x & -x).bit_length() - 1
     if p < 2:
         raise ValueError(f"p must be a prime, got {p}")
     if p <= PRIMALITY_CHECK_BOUND and not is_prime(p):
@@ -50,6 +53,17 @@ def nu(p: int, x: int) -> int:
         x //= p
         t += 1
     return t
+
+
+def nu2_binomial(n: int, m: int) -> int:
+    """nu_2(C(n, m)) for 0 <= m <= n, by Kummer's theorem.
+
+    The exponent of 2 in C(n, m) is the number of carries when adding m and
+    n - m in binary, which is popcount(m) + popcount(n - m) - popcount(n).
+    """
+    if not 0 <= m <= n:
+        raise ValueError(f"need 0 <= m <= n, got n = {n}, m = {m}")
+    return m.bit_count() + (n - m).bit_count() - n.bit_count()
 
 
 def rad(x: int) -> int:

@@ -6,17 +6,22 @@ ell >= 3 the procedure is:
   1. enumerate k with k(k+1) <= (ell-1)^2 (ell-2)^2 / (12 ell^2);
   2. for each k, list the integers inside the exact root window;
   3. run the 2-adic filters on each integer candidate;
-  4. settle every survivor by exact evaluation of f(k, w).
+  4. settle the sign of f(k, w) for every survivor exactly, as the sign of
+     LHS - RHS summed directly at n = w - k, and replay the 2-adic collapse
+     (with Kummer valuations) on it.
 
 The verdict never rests on a filter alone: a filter may only short-circuit
 the (more expensive) exact evaluation in fast mode, and paranoid mode
 evaluates every candidate anyway, confirming that nothing a filter excluded
-was a root.  The outcome is a Certificate -- a machine-readable record of
-every window, filter outcome and evaluation sign -- serializable to JSON
-with all exact values rendered as decimal or "p/q" strings, never floats.
+was a root.  Paranoid mode also checks every sign a second, independent
+way, by evaluating the polynomial f, and raises if the two disagree.  The
+outcome is a Certificate -- a machine-readable record of every window,
+filter outcome and evaluation sign -- serializable to JSON with all exact
+values rendered as decimal or "p/q" strings, never floats.
 """
 
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -25,7 +30,7 @@ from functools import partial
 
 from .arith import nu
 from .bounds import compute_bounds, corollary_K_bound, integers_in_window, weak_K_bound
-from .equation import EquationInstance, FPolynomial, build_f, eval_f
+from .equation import EquationInstance, balance_difference, build_f, eval_f
 from .filters import (
     FilterReport,
     check_modular_collapse,
@@ -137,31 +142,26 @@ def _crosscheck_powersums(ell: int, k: int, sums: dict[int, int]) -> None:
             raise RuntimeError(f"power-sum batch disagrees with closed form: k={k}, m={m}")
 
 
-def _evaluate_candidate(
-    ell: int,
-    k: int,
-    w: int,
-    poly: FPolynomial,
-    sums: dict[int, int],
-    excluded: bool,
-) -> tuple[int, str, FilterReport | None]:
-    value = eval_f(poly, w)
-    sign = 0 if value == 0 else (1 if value > 0 else -1)
-    if sign == 0:
-        if excluded:
-            raise RuntimeError(
-                f"filter soundness violated: ell={ell}, k={k}, w={w} was "
-                f"filter-excluded but f(k, w) = 0"
-            )
-        if w <= k:
-            raise RuntimeError(f"root with nonpositive n: ell={ell}, k={k}, w={w}")
-        status = SOLUTION
-    else:
-        status = EXCLUDED_BY_EVALUATION
-    collapse = None
-    if ell >= 5 and w % 2 == 0 and not filter_radical(k, w).failed:
-        collapse = check_modular_collapse(ell, k, w, precomputed_sums=sums)
-    return sign, status, collapse
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _settle_sign(ell: int, k: int, w: int, excluded: bool) -> tuple[int, str]:
+    """Sign of f(k, w) and the candidate's fate, by direct summation.
+
+    For w > 0, f(k, w) has the sign of LHS - RHS at n = w - k.
+    """
+    sign = _sign(balance_difference(w - k, k, ell))
+    if sign != 0:
+        return sign, EXCLUDED_BY_EVALUATION
+    if excluded:
+        raise RuntimeError(
+            f"filter soundness violated: ell={ell}, k={k}, w={w} was "
+            f"filter-excluded but f(k, w) = 0"
+        )
+    if w <= k:
+        raise RuntimeError(f"root with nonpositive n: ell={ell}, k={k}, w={w}")
+    return sign, SOLUTION
 
 
 def decide(ell: int, mode: str = FAST) -> Certificate:
@@ -191,14 +191,27 @@ def decide(ell: int, mode: str = FAST) -> Certificate:
             if excluded and mode == FAST:
                 sign, status = None, EXCLUDED_BY_FILTER
             else:
-                if poly is None:
+                sign, status = _settle_sign(ell, k, w, excluded)
+                # Every k that gets here needs the batch: paranoid mode builds
+                # f from it, and a fast-mode candidate that passed every filter
+                # is even and radical-admissible with ell >= 6, so it gets the
+                # collapse replay.
+                if sums is None:
                     sums = powersum_batch(k, ell, odd_only=True)
                     if mode == PARANOID:
                         _crosscheck_powersums(ell, k, sums)
-                    poly = build_f(inst)
-                sign, status, collapse = _evaluate_candidate(ell, k, w, poly, sums, excluded)
-                if collapse is not None:
-                    reports.append(collapse)
+                if mode == PARANOID:
+                    if poly is None:
+                        poly = build_f(inst, sums)
+                    f_sign = _sign(eval_f(poly, w))
+                    if f_sign != sign:
+                        raise RuntimeError(
+                            f"sign routes disagree: ell={ell}, k={k}, w={w}: direct "
+                            f"summation gives {sign}, f(k, w) gives {f_sign}"
+                        )
+                # reports[0] is the radical filter, which the replay needs passed
+                if ell >= 5 and w % 2 == 0 and not reports[0].failed:
+                    reports.append(check_modular_collapse(ell, k, w, precomputed_sums=sums))
             if status == SOLUTION:
                 solutions.append((w - k, k))
             evaluations.append(CandidateEvaluation(w, tuple(reports), sign, status))
@@ -243,17 +256,24 @@ def _consistency_scan_beyond_bound(ell: int, k_start: int, sharp: Fraction) -> N
         k += 1
 
 
+def _pool_size(workers: int, tasks: int) -> int:
+    """Worker processes to start: never more than the cores or the tasks."""
+    return min(workers, os.cpu_count() or 1, tasks)
+
+
 def sweep(ell_min: int, ell_max: int, mode: str = FAST, workers: int = 1):
     """Decide every ell in [ell_min, ell_max]; certificates in ell order.
 
     Exponents are independent, so they may be farmed out to worker
-    processes; results are collected back in input order, making the output
-    deterministic regardless of worker count.
+    processes, at most one per core and per exponent; results are collected
+    back in input order, making the output deterministic regardless of
+    worker count.
     """
     if not 1 <= ell_min <= ell_max:
         raise ValueError(f"need 1 <= ell_min <= ell_max, got {ell_min}..{ell_max}")
     ells = range(ell_min, ell_max + 1)
     task = partial(decide, mode=mode)
+    workers = _pool_size(workers, len(ells))
     if workers <= 1:
         yield from map(task, ells)
         return

@@ -15,6 +15,12 @@ been divided out.  The coefficient sequence has exactly one sign change, so
 by Descartes' rule of signs there is at most one positive root per (ell, k).
 For ell = 1 and ell = 2 that root is w = k(k+1) resp. w = 2k(k+1), giving
 the classical solution families; this module generates and verifies them.
+
+The decision procedure never needs the coefficients: for w > 0, f(k, w) has
+the sign of LHS - RHS at n = w - k (f equals it for odd ell, and w * f does
+for even ell), and balance_difference computes that by direct summation.
+build_f and eval_f remain as the independent second route that paranoid
+mode, the root-counting oracle and the window lemmas use.
 """
 
 from dataclasses import dataclass
@@ -60,10 +66,15 @@ class FPolynomial:
     coefficients: tuple[tuple[int, int], ...]
 
 
-def build_f(inst: EquationInstance) -> FPolynomial:
-    """Assemble the exact coefficients of f(k, w)."""
+def build_f(inst: EquationInstance, sums: dict[int, int] | None = None) -> FPolynomial:
+    """Assemble the exact coefficients of f(k, w).
+
+    sums, if given, must be powersum_batch(k, ell, odd_only=True); passing
+    a batch the caller already holds saves computing it again.
+    """
     ell, k = inst.ell, inst.k
-    sums = powersum_batch(k, ell, odd_only=True)
+    if sums is None:
+        sums = powersum_batch(k, ell, odd_only=True)
     shift = 0 if ell % 2 == 1 else 1
     coeffs = [(ell - shift, 1)]
     for m in range(1, ell + 1, 2):
@@ -86,13 +97,21 @@ def eval_f(poly: FPolynomial, w):
     return acc
 
 
+def balance_difference(n: int, k: int, ell: int) -> int:
+    """LHS - RHS of the balanced equation at (n, k, ell), by exact summation.
+
+    LHS = n^ell + ... + (n+k)^ell and RHS = (n+k+1)^ell + ... + (n+2k)^ell.
+    """
+    left = sum((n + j) ** ell for j in range(k + 1))
+    right = sum((n + j) ** ell for j in range(k + 1, 2 * k + 1))
+    return left - right
+
+
 def verify_instance(n: int, k: int, ell: int) -> bool:
     """Check the balanced equation itself at (n, k, ell) by exact summation."""
     if n < 1 or k < 1 or ell < 1:
         raise ValueError("n, k and ell must all be >= 1")
-    left = sum((n + j) ** ell for j in range(k + 1))
-    right = sum((n + j) ** ell for j in range(k + 1, 2 * k + 1))
-    return left == right
+    return balance_difference(n, k, ell) == 0
 
 
 def sign_changes(poly: FPolynomial) -> int:

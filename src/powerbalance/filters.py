@@ -9,19 +9,21 @@ provably cannot solve the equation, PASS when the filter does not exclude
 it, and INCONCLUSIVE when the filter could not decide (an incomplete
 factorization).  Filters are accelerators only: the decision procedure
 never trusts a FAIL without the option of exact evaluation, and paranoid
-mode re-evaluates every filtered candidate to confirm f(k, w) != 0.
+mode settles every filtered candidate's sign too, by direct summation of
+the equation checked against f(k, w), to confirm it is nonzero.
 
 check_modular_collapse is different in kind: it replays, on one concrete
 candidate, the 2-adic congruence argument that rules out solutions for
 ell >= 5.  There PASS means "the contradiction is witnessed on this
 candidate" and FAIL would mean the argument's valuation bookkeeping broke
-down -- a bug flag, not an exclusion verdict.
+down -- a bug flag, not an exclusion verdict.  The replay takes nu_2 of each
+binomial coefficient from Kummer's theorem and nu_2 of each power sum from
+its lowest set bit, so it never forms C(ell, m).
 """
 
 from dataclasses import dataclass
-from math import comb
 
-from .arith import FACTOR_LIMIT, nu, odd_prime_factors, rad
+from .arith import FACTOR_LIMIT, nu, nu2_binomial, odd_prime_factors, rad
 from .powersum import powersum_batch
 
 PASS = "PASS"
@@ -148,7 +150,7 @@ def check_modular_collapse(
 
     def term_val(m):
         # nu_2 of 2 * C(ell, m) * w^(ell-m-shift) * S_m(k)
-        return 1 + nu(2, comb(ell, m)) + (ell - m - shift) * g + nu(2, sums[m])
+        return 1 + nu2_binomial(ell, m) + (ell - m - shift) * g + nu(2, sums[m])
 
     name = "modular_collapse"
     for m in range(3, top_m, 2):

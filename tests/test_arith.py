@@ -2,10 +2,13 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from powerbalance.arith import is_prime, nu, odd_prime_factors, rad
+from powerbalance.arith import is_prime, nu, nu2_binomial, odd_prime_factors, rad
 
 
 def _valuation_by_division(p, x):
@@ -62,6 +65,26 @@ def test_nu_is_additive_on_products():
         x = rng.randint(1, 10**6)
         y = rng.randint(1, 10**6)
         assert nu(p, x * y) == nu(p, x) + nu(p, y)
+
+
+@given(
+    st.integers(min_value=-(2**3000), max_value=2**3000).map(lambda u: 2 * u + 1),
+    st.integers(min_value=0, max_value=5000),
+)
+def test_nu_two_matches_division_loop(odd, t):
+    # every nonzero int, negative ones included, is odd * 2^t
+    x = odd << t
+    assert nu(2, x) == t == _valuation_by_division(2, x)
+
+
+def test_kummer_matches_binomial_valuation():
+    for n in range(301):
+        for m in range(n + 1):
+            assert nu2_binomial(n, m) == nu(2, comb(n, m)), (n, m)
+    with pytest.raises(ValueError):
+        nu2_binomial(3, 4)
+    with pytest.raises(ValueError):
+        nu2_binomial(3, -1)
 
 
 def test_rad_examples():

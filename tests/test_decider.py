@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from powerbalance import decider
 from powerbalance.decider import (
     EXCLUDED_BY_EVALUATION,
     EXCLUDED_BY_FILTER,
@@ -114,6 +115,58 @@ def test_sweep_worker_count_does_not_change_output():
     serial = [certificate_json(c, include_timing=False) for c in sweep(3, 40)]
     parallel = [certificate_json(c, include_timing=False) for c in sweep(3, 40, workers=2)]
     assert serial == parallel
+
+
+def test_fast_mode_never_builds_the_polynomial(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("fast mode must not build or evaluate f")
+
+    batches = []
+    real_batch = decider.powersum_batch
+
+    def counted_batch(k, m_max, odd_only=False):
+        batches.append(k)
+        return real_batch(k, m_max, odd_only=odd_only)
+
+    monkeypatch.setattr(decider, "build_f", forbidden)
+    monkeypatch.setattr(decider, "eval_f", forbidden)
+    monkeypatch.setattr(decider, "powersum_batch", counted_batch)
+    for ell in (5, 27, 54, 75, 1000):
+        batches.clear()
+        cert = decide(ell, mode=FAST)
+        assert cert.verdict == NO_SOLUTION
+        replayed = [
+            rec.k
+            for rec in cert.candidates
+            if any(r.name == "modular_collapse" for ev in rec.per_candidate for r in ev.filters)
+        ]
+        # one batch per k, and only for a k whose candidates need the replay
+        assert batches == replayed, ell
+
+
+def test_paranoid_mode_rejects_disagreeing_sign_routes(monkeypatch):
+    real_eval = decider.eval_f
+    monkeypatch.setattr(decider, "eval_f", lambda poly, w: -real_eval(poly, w))
+    with pytest.raises(RuntimeError, match="sign routes disagree"):
+        decide(27, mode=PARANOID)
+
+
+def test_pool_size_is_capped_by_cores_and_tasks(monkeypatch):
+    monkeypatch.setattr(decider.os, "cpu_count", lambda: 4)
+    assert decider._pool_size(5000, 998) == 4
+    assert decider._pool_size(8, 3) == 3
+    assert decider._pool_size(2, 998) == 2
+    assert decider._pool_size(1, 998) == 1
+    monkeypatch.setattr(decider.os, "cpu_count", lambda: None)
+    assert decider._pool_size(5000, 998) == 1
+
+
+def test_sweep_of_one_exponent_starts_no_pool(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a single exponent needs no worker process")
+
+    monkeypatch.setattr(decider, "ProcessPoolExecutor", forbidden)
+    assert [c.verdict for c in sweep(5, 5, workers=5000)] == [NO_SOLUTION]
 
 
 def test_verdicts_match_brute_force():

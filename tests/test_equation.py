@@ -2,13 +2,16 @@
 
 import random
 from fractions import Fraction
+from math import ceil, floor
 
 import pytest
 
+from powerbalance.bounds import compute_bounds, integers_in_window
 from powerbalance.equation import (
     BRACKET_TOLERANCE,
     EquationInstance,
     FPolynomial,
+    balance_difference,
     bracket_unique_root,
     build_f,
     eval_f,
@@ -86,6 +89,29 @@ def test_eval_f_matches_difference_fold():
                     assert folded % w == 0
                     folded //= w
                 assert eval_f(poly, w) == folded, (ell, k, w)
+
+
+def test_direct_summation_matches_f_on_window_integers():
+    # the decider's sign route: LHS - RHS at n = w - k equals f(k, w) for
+    # odd ell and w * f(k, w) for even ell, so for w > 0 the signs agree.
+    # Checked at every window integer of the grid, and at the integers just
+    # below and above each window, where f is negative resp. positive.
+    in_window = 0
+    for ell in range(3, 61):
+        for k in range(1, 41):
+            inst = EquationInstance(ell, k)
+            bd = compute_bounds(inst)
+            ws = integers_in_window(bd)
+            below, above = ceil(bd.lower) - 1, floor(bd.upper) + 1
+            poly = build_f(inst)
+            for w in [below, *ws, above]:
+                value = eval_f(poly, w)
+                diff = balance_difference(w - k, k, ell)
+                assert diff == (value if ell % 2 == 1 else w * value), (ell, k, w)
+                assert (diff > 0) - (diff < 0) == (value > 0) - (value < 0) != 0
+            assert eval_f(poly, below) < 0 < eval_f(poly, above), (ell, k)
+            in_window += len(ws)
+    assert in_window == 39  # the grid holds 39 window integers
 
 
 def test_verify_instance_examples():
