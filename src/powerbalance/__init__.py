@@ -23,9 +23,7 @@ from .bounds import (
 )
 from .decider import Certificate, certificate_json, decide, sweep
 from .equation import (
-    EquationInstance,
     FPolynomial,
-    bracket_unique_root,
     build_f,
     eval_f,
     sign_changes,
@@ -34,17 +32,14 @@ from .equation import (
 )
 from .filters import (
     FilterReport,
-    ValuationProfile,
     check_modular_collapse,
     filter_3f_plus_3,
     filter_g_ge_e_plus_1,
     filter_radical,
     filter_w_plus_1_primes,
-    profile,
 )
 from .oracle import count_positive_roots, oracle_search
 from .powersum import (
-    PowerSumQuery,
     bernoulli_numbers,
     check_carlitz_von_staudt,
     check_macmillan_sondow,
@@ -56,13 +51,9 @@ from .powersum import (
 __all__ = [
     "BoundData",
     "Certificate",
-    "EquationInstance",
     "FPolynomial",
     "FilterReport",
-    "PowerSumQuery",
-    "ValuationProfile",
     "bernoulli_numbers",
-    "bracket_unique_root",
     "build_f",
     "certificate_json",
     "check_appendix_identity",
@@ -86,7 +77,6 @@ __all__ = [
     "powersum_batch",
     "powersum_closed",
     "powersum_direct",
-    "profile",
     "rad",
     "sign_changes",
     "solution_family",

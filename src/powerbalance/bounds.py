@@ -10,34 +10,44 @@ Since a solution w must be an integer and (ell-3)/12 <= a < (ell-2)/12 for
 ell >= 3, the ceiling tightens to w <= ell*K + (ell-3)/12, which in turn
 caps K at (ell-1)^2 (ell-2)^2 / (12*ell^2): only finitely many k remain for
 each ell.  Everything here is Fraction arithmetic; no rounding anywhere.
+
+check_sandwich confirms the window lemma for one (ell, k) from two exact
+signs: f has a single positive root because its coefficients change sign
+once and f(0) < 0, so the root lies in the window exactly when f is
+nonpositive at the lower end and nonnegative at the upper end.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
 
-from .equation import EquationInstance, build_f, eval_f, bracket_unique_root
+from .equation import build_f, eval_f, sign_changes
 
 
 @dataclass(frozen=True)
 class BoundData:
     """The window [lower, upper] = [ell*K + a - b/K, ell*K + a] for one (ell, k)."""
 
-    instance: EquationInstance
+    ell: int
+    k: int
     a: Fraction
     b: Fraction
     lower: Fraction
     upper: Fraction
 
 
-def compute_bounds(inst: EquationInstance) -> BoundData:
-    """Exact a, b and the root window for this instance."""
-    ell, K = inst.ell, inst.K
+def compute_bounds(ell: int, k: int) -> BoundData:
+    """Exact a, b and the root window for ell >= 1 and k >= 1."""
+    if ell < 1:
+        raise ValueError(f"ell must be >= 1, got {ell}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    K = k * (k + 1)
     a = Fraction((ell - 1) * (ell - 2), 12 * ell)
     b = Fraction((ell - 1) ** 2 * (ell - 2) ** 2, 72 * ell**3)
     assert b == 2 * a * a / ell
     lower = ell * K + a - b / K
-    return BoundData(inst, a, b, lower, ell * K + a)
+    return BoundData(ell, k, a, b, lower, ell * K + a)
 
 
 def corollary_K_bound(ell: int) -> Fraction:
@@ -64,7 +74,7 @@ def integer_window_top(bd: BoundData) -> Fraction:
     The tightening is valid only for ell >= 3 (it needs a < (ell-2)/12);
     for ell in (1, 2) the window is already the single point ell*K.
     """
-    ell, K = bd.instance.ell, bd.instance.K
+    ell, K = bd.ell, bd.k * (bd.k + 1)
     if ell < 3:
         return bd.upper
     return min(bd.upper, ell * K + Fraction(ell - 3, 12))
@@ -113,24 +123,19 @@ def check_appendix_identity(ell, K) -> bool:
     return all(line == lines[0] for line in lines[1:])
 
 
-def check_sandwich(inst: EquationInstance) -> bool:
+def check_sandwich(ell: int, k: int) -> bool:
     """Does the unique positive root of f lie inside [lower, upper]?
 
-    The bracket from bracket_unique_root decides it outright when it sits
-    entirely inside or outside the window; a bracket straddling an endpoint
-    is settled by the exact sign of f there (f is negative strictly below
-    the root and positive strictly above it).
+    f has one coefficient sign change and f(0) < 0, so its single positive
+    root r has f < 0 on (0, r) and f > 0 beyond it.  The lower end is
+    positive (ell*K >= 2*ell while b/K < ell/144), so lower <= r <= upper
+    holds exactly when f(lower) <= 0 <= f(upper).  Raises ValueError if
+    either property of f fails, since the two signs then prove nothing.
     """
-    bd = compute_bounds(inst)
-    poly = build_f(inst)
-    lo, hi = bracket_unique_root(poly)
-    # root r satisfies lo < r <= hi (f(lo) < 0 <= f(hi))
-    if lo >= bd.lower:
-        above_lower = True
-    else:
-        above_lower = eval_f(poly, bd.lower) <= 0
-    if hi <= bd.upper:
-        below_upper = True
-    else:
-        below_upper = eval_f(poly, bd.upper) >= 0
-    return above_lower and below_upper
+    bd = compute_bounds(ell, k)
+    poly = build_f(ell, k)
+    if sign_changes(poly) != 1:
+        raise ValueError("the window lemma needs exactly one coefficient sign change")
+    if eval_f(poly, 0) >= 0:
+        raise ValueError("the window lemma needs f(0) < 0")
+    return eval_f(poly, bd.lower) <= 0 <= eval_f(poly, bd.upper)

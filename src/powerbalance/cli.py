@@ -24,7 +24,7 @@ from fractions import Fraction
 from . import __version__
 from .bounds import check_appendix_identity, check_sandwich, compute_bounds, integers_in_window
 from .decider import FAMILY, FAST, PARANOID, certificate_json, decide, sweep
-from .equation import EquationInstance, verify_instance
+from .equation import verify_instance
 from .filters import PASS, check_modular_collapse, filter_radical
 from .oracle import oracle_search
 from .powersum import check_carlitz_von_staudt, check_macmillan_sondow
@@ -169,7 +169,7 @@ def _lemma_macmillan(args):
 def _lemma_sandwich(args):
     for ell in range(3, args.ell_max + 1):
         for k in range(1, args.k_max + 1):
-            if not check_sandwich(EquationInstance(ell, k)):
+            if not check_sandwich(ell, k):
                 return f"ell={ell}, k={k}: root escapes the exact window"
     return None
 
@@ -197,7 +197,7 @@ def _lemma_collapse(args):
             return f"ell={ell}, k={k}, w={w}: {report.detail}"
     for ell in range(5, args.ell_max + 1):
         for k in range(1, args.k_max + 1):
-            for w in integers_in_window(compute_bounds(EquationInstance(ell, k))):
+            for w in integers_in_window(compute_bounds(ell, k)):
                 if w % 2 != 0 or filter_radical(k, w).failed:
                     continue
                 report = check_modular_collapse(ell, k, w)

@@ -30,7 +30,7 @@ from functools import partial
 
 from .arith import nu
 from .bounds import compute_bounds, corollary_K_bound, integers_in_window, weak_K_bound
-from .equation import EquationInstance, balance_difference, build_f, eval_f
+from .equation import balance_difference, build_f, eval_f, solution_family
 from .filters import (
     FilterReport,
     check_modular_collapse,
@@ -39,7 +39,7 @@ from .filters import (
     filter_radical,
     filter_w_plus_1_primes,
 )
-from .powersum import PowerSumQuery, powersum_batch, powersum_closed
+from .powersum import powersum_batch, powersum_closed
 
 FAST = "fast"
 PARANOID = "paranoid"
@@ -97,8 +97,8 @@ def _family_certificate(ell: int, mode: str, t0: float) -> Certificate:
     n_formula = "k^2" if ell == 1 else "k(2k+1)"
     samples = []
     for k in range(1, _FAMILY_SAMPLE_COUNT + 1):
-        w = ell * k * (k + 1)
-        samples.append((w - k, k))
+        n, _ = solution_family(ell, k)
+        samples.append((n, k))
     return Certificate(
         ell=ell,
         verdict=FAMILY,
@@ -138,7 +138,7 @@ def _crosscheck_powersums(ell: int, k: int, sums: dict[int, int]) -> None:
             raise RuntimeError(f"power-sum batch failed divisibility: k={k}, m={m}")
         if m >= 3 and nu(2, 2 * s) != 2 * f - 1:
             raise RuntimeError(f"power-sum batch failed 2-adic valuation: k={k}, m={m}")
-        if m <= _CLOSED_CHECK_M_MAX and s != powersum_closed(PowerSumQuery(k, m)):
+        if m <= _CLOSED_CHECK_M_MAX and s != powersum_closed(k, m):
             raise RuntimeError(f"power-sum batch disagrees with closed form: k={k}, m={m}")
 
 
@@ -179,8 +179,7 @@ def decide(ell: int, mode: str = FAST) -> Certificate:
     solutions = []
     k = 1
     while k * (k + 1) <= sharp:
-        inst = EquationInstance(ell, k)
-        bd = compute_bounds(inst)
+        bd = compute_bounds(ell, k)
         ws = integers_in_window(bd)
         poly = None
         sums = None
@@ -202,7 +201,7 @@ def decide(ell: int, mode: str = FAST) -> Certificate:
                         _crosscheck_powersums(ell, k, sums)
                 if mode == PARANOID:
                     if poly is None:
-                        poly = build_f(inst, sums)
+                        poly = build_f(ell, k, sums)
                     f_sign = _sign(eval_f(poly, w))
                     if f_sign != sign:
                         raise RuntimeError(
@@ -243,10 +242,9 @@ def _consistency_scan_beyond_bound(ell: int, k_start: int, sharp: Fraction) -> N
     weak = weak_K_bound(ell)
     k = k_start
     while k * (k + 1) <= weak:
-        inst = EquationInstance(ell, k)
-        ws = integers_in_window(compute_bounds(inst))
+        ws = integers_in_window(compute_bounds(ell, k))
         if ws:
-            poly = build_f(inst)
+            poly = build_f(ell, k)
             for w in ws:
                 if eval_f(poly, w) == 0:
                     raise RuntimeError(

@@ -12,9 +12,13 @@ into a one-variable polynomial condition f(k, w) = 0:
 
 where S_m(k) is the m-th power sum; for even ell the shared factor w has
 been divided out.  The coefficient sequence has exactly one sign change, so
-by Descartes' rule of signs there is at most one positive root per (ell, k).
-For ell = 1 and ell = 2 that root is w = k(k+1) resp. w = 2k(k+1), giving
-the classical solution families; this module generates and verifies them.
+by Descartes' rule of signs there is at most one positive root per (ell, k);
+as f(0) < 0 and the leading coefficient is positive, there is exactly one,
+with f negative below it and positive above.  The exact sign of f at any
+w > 0 therefore says on which side of the root w lies, which is all the
+window lemma (bounds.check_sandwich) needs.  For ell = 1 and ell = 2 that
+root is w = k(k+1) resp. w = 2k(k+1), giving the classical solution
+families; this module generates and verifies them.
 
 The decision procedure never needs the coefficients: for w > 0, f(k, w) has
 the sign of LHS - RHS at n = w - k (f equals it for odd ell, and w * f does
@@ -24,34 +28,9 @@ mode, the root-counting oracle and the window lemmas use.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from .powersum import powersum_batch
-
-# Width below which root brackets stop shrinking.  The decision procedure
-# never consumes brackets (it enumerates integers in exact windows); they
-# exist as uniqueness evidence, so any fixed tolerance serves.
-BRACKET_TOLERANCE = Fraction(1, 2**20)
-
-
-@dataclass(frozen=True)
-class EquationInstance:
-    """Exponent ell >= 1 and block half-length k >= 1."""
-
-    ell: int
-    k: int
-
-    def __post_init__(self):
-        if self.ell < 1:
-            raise ValueError(f"ell must be >= 1, got {self.ell}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-
-    @property
-    def K(self) -> int:
-        """k(k+1); always even, at least 2."""
-        return self.k * (self.k + 1)
 
 
 @dataclass(frozen=True)
@@ -62,24 +41,26 @@ class FPolynomial:
     sequence changes exactly once.
     """
 
-    instance: EquationInstance
     coefficients: tuple[tuple[int, int], ...]
 
 
-def build_f(inst: EquationInstance, sums: dict[int, int] | None = None) -> FPolynomial:
-    """Assemble the exact coefficients of f(k, w).
+def build_f(ell: int, k: int, sums: dict[int, int] | None = None) -> FPolynomial:
+    """Assemble the exact coefficients of f(k, w) for ell >= 1 and k >= 1.
 
     sums, if given, must be powersum_batch(k, ell, odd_only=True); passing
     a batch the caller already holds saves computing it again.
     """
-    ell, k = inst.ell, inst.k
+    if ell < 1:
+        raise ValueError(f"ell must be >= 1, got {ell}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if sums is None:
         sums = powersum_batch(k, ell, odd_only=True)
     shift = 0 if ell % 2 == 1 else 1
     coeffs = [(ell - shift, 1)]
     for m in range(1, ell + 1, 2):
         coeffs.append((ell - m - shift, -2 * comb(ell, m) * sums[m]))
-    return FPolynomial(inst, tuple(coeffs))
+    return FPolynomial(tuple(coeffs))
 
 
 def eval_f(poly: FPolynomial, w):
@@ -120,30 +101,6 @@ def sign_changes(poly: FPolynomial) -> int:
     if not signs:
         raise ValueError("zero polynomial has no sign sequence")
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
-
-
-def bracket_unique_root(poly: FPolynomial) -> tuple[Fraction, Fraction]:
-    """Bracket the unique positive root: f(lo) < 0 <= f(hi), hi - lo tiny.
-
-    Doubles an upper bound until f turns nonnegative, then bisects down to
-    BRACKET_TOLERANCE.  Requires the single-sign-change shape (f negative
-    at 0, positive for large w), which every build_f output has.
-    """
-    if sign_changes(poly) != 1:
-        raise ValueError("bracketing requires exactly one coefficient sign change")
-    lo = Fraction(0)
-    if eval_f(poly, lo) >= 0:
-        raise ValueError("f(0) must be negative to bracket a positive root")
-    hi = Fraction(1)
-    while eval_f(poly, hi) < 0:
-        hi *= 2
-    while hi - lo > BRACKET_TOLERANCE:
-        mid = (lo + hi) / 2
-        if eval_f(poly, mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
 
 
 def solution_family(ell: int, k: int) -> tuple[int, int]:

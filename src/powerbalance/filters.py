@@ -32,15 +32,6 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 
 @dataclass(frozen=True)
-class ValuationProfile:
-    """e = nu_2(ell), f = nu_2(k(k+1)), g = nu_2(w); f >= 1 always."""
-
-    e: int
-    f: int
-    g: int
-
-
-@dataclass(frozen=True)
 class FilterReport:
     name: str
     outcome: str
@@ -49,13 +40,6 @@ class FilterReport:
     @property
     def failed(self) -> bool:
         return self.outcome == FAIL
-
-
-def profile(ell: int, k: int, w: int) -> ValuationProfile:
-    """The 2-adic valuation triple of (ell, k(k+1), w)."""
-    if ell < 1 or k < 1 or w < 1:
-        raise ValueError("ell, k and w must all be >= 1")
-    return ValuationProfile(nu(2, ell), nu(2, k * (k + 1)), nu(2, w))
 
 
 def filter_radical(k: int, w: int) -> FilterReport:

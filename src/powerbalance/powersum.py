@@ -14,25 +14,17 @@ checkable predicates: Carlitz-von Staudt (k(k+1)/2 divides S_m(k) for odd m)
 and MacMillan-Sondow (nu_2(2*S_m(k)) = 2*nu_2(k(k+1)) - 1 for odd m >= 3).
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from .arith import nu
 
 
-@dataclass(frozen=True)
-class PowerSumQuery:
-    """Upper limit k >= 1 and exponent m >= 0 of a power sum."""
-
-    k: int
-    m: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.m < 0:
-            raise ValueError(f"m must be >= 0, got {self.m}")
+def _check_k_m(k: int, m: int) -> None:
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if m < 0:
+        raise ValueError(f"m must be >= 0, got {m}")
 
 
 # Grow-only Bernoulli cache (B1 = +1/2 convention).  Readers take a local
@@ -62,18 +54,19 @@ def bernoulli_numbers(n: int) -> list[Fraction]:
     return fresh[: n + 1]
 
 
-def powersum_direct(q: PowerSumQuery) -> int:
-    """S_m(k) by direct summation."""
-    return sum(i**q.m for i in range(1, q.k + 1))
+def powersum_direct(k: int, m: int) -> int:
+    """S_m(k) by direct summation, for k >= 1 and m >= 0."""
+    _check_k_m(k, m)
+    return sum(i**m for i in range(1, k + 1))
 
 
-def powersum_closed(q: PowerSumQuery) -> int:
-    """S_m(k) from the degree-(m+1) Faulhaber polynomial in k.
+def powersum_closed(k: int, m: int) -> int:
+    """S_m(k), for k >= 1 and m >= 0, from the degree-(m+1) Faulhaber polynomial.
 
     The rational evaluation must come out integral; a non-integral value
     would mean a bug in the Bernoulli table and is raised, never truncated.
     """
-    k, m = q.k, q.m
+    _check_k_m(k, m)
     bern = bernoulli_numbers(m)
     total = Fraction(0)
     for j in range(m + 1):
@@ -93,10 +86,7 @@ def powersum_batch(k: int, m_max: int, odd_only: bool = False) -> dict[int, int]
     One multiplication per (i, m) step instead of a fresh i**m per sum;
     this is what makes exponent sweeps affordable.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if m_max < 0:
-        raise ValueError(f"m_max must be >= 0, got {m_max}")
+    _check_k_m(k, m_max)
     out: dict[int, int] = {}
     if odd_only:
         powers = list(range(1, k + 1))
@@ -119,7 +109,7 @@ def check_carlitz_von_staudt(k: int, m: int) -> bool:
     """Does k(k+1)/2 divide S_m(k)?  (Carlitz-von Staudt: yes for odd m.)"""
     if m < 1 or m % 2 == 0:
         raise ValueError(f"m must be odd and >= 1, got {m}")
-    return powersum_direct(PowerSumQuery(k, m)) % (k * (k + 1) // 2) == 0
+    return powersum_direct(k, m) % (k * (k + 1) // 2) == 0
 
 
 def check_macmillan_sondow(k: int, m: int) -> bool:
@@ -131,5 +121,5 @@ def check_macmillan_sondow(k: int, m: int) -> bool:
     """
     if m < 3 or m % 2 == 0:
         raise ValueError(f"m must be odd and >= 3, got {m}")
-    s = powersum_direct(PowerSumQuery(k, m))
+    s = powersum_direct(k, m)
     return nu(2, 2 * s) == 2 * nu(2, k * (k + 1)) - 1

@@ -24,7 +24,6 @@ from powerbalance.decider import (
     sweep,
 )
 from powerbalance.equation import (
-    EquationInstance,
     build_f,
     sign_changes,
     solution_family,
@@ -130,7 +129,7 @@ def test_criterion_5_power_sum_divisibility():
 def test_criterion_6_single_positive_root():
     for ell in range(1, 21):
         for k in range(1, 21):
-            poly = build_f(EquationInstance(ell, k))
+            poly = build_f(ell, k)
             assert sign_changes(poly) == 1, (ell, k)
             assert count_positive_roots(poly) == 1, (ell, k)
     report(6, "sign_changes = 1 and exactly one positive root for all ell,k <= 20")
@@ -139,7 +138,7 @@ def test_criterion_6_single_positive_root():
 def test_criterion_7_window_traps_root():
     for ell in range(3, 61):
         for k in range(1, 41):
-            assert check_sandwich(EquationInstance(ell, k)), (ell, k)
+            assert check_sandwich(ell, k), (ell, k)
     for ell in range(3, 8):
         assert decide(ell).candidates == ()
     report(7, "root inside the exact window for ell in [3,60], k in [1,40]; "

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import powerbalance
 from powerbalance import decider
 from powerbalance.decider import (
     EXCLUDED_BY_EVALUATION,
@@ -49,6 +50,39 @@ def test_decide_one_reports_family():
     assert cert.family["w"] == "k(k+1)" and cert.family["n"] == "k^2"
     for n, k in cert.family["samples"]:
         assert verify_instance(n, k, 1)
+
+
+# certificate_json(decide(ell), include_timing=False) for ell = 1 and 2, pinned
+# byte for byte: the samples come from equation.solution_family
+FAMILY_CERTIFICATES = {
+    1: '{"candidates":[],"ell":1,"family":{"n":"k^2","samples":[["1","1"],["4","2"],'
+       '["9","3"],["16","4"],["25","5"]],"w":"k(k+1)"},"mode":"fast","schema":"1",'
+       '"solutions":[],"verdict":"FAMILY"}',
+    2: '{"candidates":[],"ell":2,"family":{"n":"k(2k+1)","samples":[["3","1"],["10","2"],'
+       '["21","3"],["36","4"],["55","5"]],"w":"2k(k+1)"},"mode":"fast","schema":"1",'
+       '"solutions":[],"verdict":"FAMILY"}',
+}
+
+
+@pytest.mark.parametrize("ell", [1, 2])
+def test_family_certificate_bytes_are_unchanged(ell):
+    assert certificate_json(decide(ell), include_timing=False) == FAMILY_CERTIFICATES[ell]
+
+
+def test_public_api():
+    expected = [
+        "BoundData", "Certificate", "FPolynomial", "FilterReport",
+        "bernoulli_numbers", "build_f", "certificate_json", "check_appendix_identity",
+        "check_carlitz_von_staudt", "check_macmillan_sondow", "check_modular_collapse",
+        "check_sandwich", "compute_bounds", "corollary_K_bound", "count_positive_roots",
+        "decide", "eval_f", "filter_3f_plus_3", "filter_g_ge_e_plus_1", "filter_radical",
+        "filter_w_plus_1_primes", "integers_in_window", "nu", "odd_prime_factors",
+        "oracle_search", "powersum_batch", "powersum_closed", "powersum_direct", "rad",
+        "sign_changes", "solution_family", "sweep", "verify_instance", "weak_K_bound",
+    ]
+    assert sorted(powerbalance.__all__) == expected
+    for name in expected:
+        assert getattr(powerbalance, name) is not None, name
 
 
 def test_decide_validation():

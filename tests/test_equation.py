@@ -1,4 +1,4 @@
-"""Polynomial assembly, direct verification and root bracketing."""
+"""Polynomial assembly, direct verification and the solution families."""
 
 import random
 from fractions import Fraction
@@ -6,13 +6,10 @@ from math import ceil, floor
 
 import pytest
 
-from powerbalance.bounds import compute_bounds, integers_in_window
+from powerbalance.bounds import check_sandwich, compute_bounds, integers_in_window
 from powerbalance.equation import (
-    BRACKET_TOLERANCE,
-    EquationInstance,
     FPolynomial,
     balance_difference,
-    bracket_unique_root,
     build_f,
     eval_f,
     sign_changes,
@@ -21,31 +18,30 @@ from powerbalance.equation import (
 )
 
 
-def test_instance_validation_and_K():
-    inst = EquationInstance(3, 4)
-    assert inst.K == 20
-    with pytest.raises(ValueError):
-        EquationInstance(0, 1)
-    with pytest.raises(ValueError):
-        EquationInstance(3, 0)
+def test_ell_and_k_validation():
+    for fn in (build_f, compute_bounds, check_sandwich):
+        with pytest.raises(ValueError):
+            fn(0, 1)
+        with pytest.raises(ValueError):
+            fn(3, 0)
 
 
 def test_build_f_cubic_example():
-    poly = build_f(EquationInstance(3, 1))
+    poly = build_f(3, 1)
     assert poly.coefficients == ((3, 1), (2, -6), (0, -2))
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 17])
 def test_build_f_linear_families(k):
     K = k * (k + 1)
-    assert build_f(EquationInstance(1, k)).coefficients == ((1, 1), (0, -K))
-    assert build_f(EquationInstance(2, k)).coefficients == ((1, 1), (0, -2 * K))
+    assert build_f(1, k).coefficients == ((1, 1), (0, -K))
+    assert build_f(2, k).coefficients == ((1, 1), (0, -2 * K))
 
 
 def test_build_f_shape():
     for ell in range(1, 31):
         for k in range(1, 31):
-            poly = build_f(EquationInstance(ell, k))
+            poly = build_f(ell, k)
             exps = [e for e, _ in poly.coefficients]
             assert exps == sorted(exps, reverse=True)
             assert poly.coefficients[0] == (ell - (ell % 2 == 0), 1)
@@ -54,18 +50,19 @@ def test_build_f_shape():
 
 
 def test_eval_f_examples():
-    poly = build_f(EquationInstance(3, 1))
+    poly = build_f(3, 1)
     # independent route: w^3 minus the fold-of-differences form
     w = 3
     folded = sum((w + i) ** 3 - (w - i) ** 3 for i in range(1, 2))
     assert folded == 56
     assert eval_f(poly, 3) == 27 - 56 == -29
+    assert eval_f(poly, 6) == -2
     assert eval_f(poly, 7) == 47
-    assert eval_f(build_f(EquationInstance(1, 1)), 2) == 0
+    assert eval_f(build_f(1, 1), 2) == 0
 
 
 def test_eval_f_preserves_numeric_kind():
-    poly = build_f(EquationInstance(3, 1))
+    poly = build_f(3, 1)
     assert isinstance(eval_f(poly, 3), int)
     value = eval_f(poly, Fraction(7, 2))
     assert isinstance(value, Fraction)
@@ -79,7 +76,7 @@ def test_eval_f_matches_difference_fold():
     rng = random.Random(106)
     for ell in range(1, 13):
         for k in range(1, 13):
-            poly = build_f(EquationInstance(ell, k))
+            poly = build_f(ell, k)
             for _ in range(20):
                 w = rng.randint(1, 10**6)
                 folded = w**ell - sum(
@@ -99,11 +96,10 @@ def test_direct_summation_matches_f_on_window_integers():
     in_window = 0
     for ell in range(3, 61):
         for k in range(1, 41):
-            inst = EquationInstance(ell, k)
-            bd = compute_bounds(inst)
+            bd = compute_bounds(ell, k)
             ws = integers_in_window(bd)
             below, above = ceil(bd.lower) - 1, floor(bd.upper) + 1
-            poly = build_f(inst)
+            poly = build_f(ell, k)
             for w in [below, *ws, above]:
                 value = eval_f(poly, w)
                 diff = balance_difference(w - k, k, ell)
@@ -134,37 +130,14 @@ def test_roots_of_f_are_equation_solutions():
         for k in range(1, 41):
             n, w = solution_family(ell, k)
             assert verify_instance(n, k, ell)
-            assert eval_f(build_f(EquationInstance(ell, k)), w) == 0
-    assert eval_f(build_f(EquationInstance(3, 1)), 1 + 1) != 0
+            assert eval_f(build_f(ell, k), w) == 0
+    assert eval_f(build_f(3, 1), 1 + 1) != 0
 
 
 def test_sign_changes_rejects_zero_polynomial():
-    zero = FPolynomial(EquationInstance(1, 1), ((2, 0), (0, 0)))
+    zero = FPolynomial(((2, 0), (0, 0)))
     with pytest.raises(ValueError):
         sign_changes(zero)
-
-
-def test_bracket_family_roots():
-    lo, hi = bracket_unique_root(build_f(EquationInstance(1, 3)))
-    assert lo < 12 <= hi and hi - lo <= BRACKET_TOLERANCE
-    lo, hi = bracket_unique_root(build_f(EquationInstance(2, 1)))
-    assert lo < 4 <= hi
-
-
-def test_bracket_cubic_root():
-    poly = build_f(EquationInstance(3, 1))
-    assert eval_f(poly, 6) == -2
-    assert eval_f(poly, 7) == 47
-    lo, hi = bracket_unique_root(poly)
-    assert 6 < lo < hi < 7
-    assert eval_f(poly, lo) < 0 <= eval_f(poly, hi)
-    assert hi - lo <= BRACKET_TOLERANCE
-
-
-def test_bracket_requires_single_sign_change():
-    wiggly = FPolynomial(EquationInstance(1, 1), ((2, 1), (1, -3), (0, 2)))
-    with pytest.raises(ValueError):
-        bracket_unique_root(wiggly)
 
 
 def test_solution_family_examples():

@@ -3,7 +3,7 @@
 import pytest
 
 from powerbalance.bounds import compute_bounds, integers_in_window
-from powerbalance.equation import EquationInstance, build_f, eval_f
+from powerbalance.equation import build_f, eval_f
 from powerbalance.filters import (
     FAIL,
     INCONCLUSIVE,
@@ -13,25 +13,7 @@ from powerbalance.filters import (
     filter_g_ge_e_plus_1,
     filter_radical,
     filter_w_plus_1_primes,
-    profile,
 )
-
-
-def test_profile_examples():
-    p = profile(8, 1, 16)
-    assert (p.e, p.f, p.g) == (3, 1, 4)
-    p = profile(3, 1, 6)
-    assert (p.e, p.f, p.g) == (0, 1, 1)
-    p = profile(1, 1, 2)
-    assert (p.e, p.f, p.g) == (0, 1, 1)
-
-
-def test_profile_f_is_positive():
-    for ell in (1, 4, 9):
-        for k in range(1, 30):
-            assert profile(ell, k, 2).f >= 1
-    with pytest.raises(ValueError):
-        profile(0, 1, 1)
 
 
 def test_radical_filter():
@@ -92,7 +74,7 @@ def test_collapse_preconditions():
 def _window_candidates(ell_range, k_max):
     for ell in ell_range:
         for k in range(1, k_max + 1):
-            for w in integers_in_window(compute_bounds(EquationInstance(ell, k))):
+            for w in integers_in_window(compute_bounds(ell, k)):
                 yield ell, k, w
 
 
@@ -112,4 +94,4 @@ def test_center_valuation_failures_are_never_roots():
         if filter_radical(k, w).failed:
             continue
         if filter_g_ge_e_plus_1(ell, w).outcome == FAIL:
-            assert eval_f(build_f(EquationInstance(ell, k)), w) != 0, (ell, k, w)
+            assert eval_f(build_f(ell, k), w) != 0, (ell, k, w)

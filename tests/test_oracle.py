@@ -2,7 +2,7 @@
 
 import pytest
 
-from powerbalance.equation import EquationInstance, build_f
+from powerbalance.equation import build_f
 from powerbalance.oracle import count_positive_roots, oracle_search
 
 
@@ -44,20 +44,20 @@ def test_search_validation():
 
 
 def test_root_count_examples():
-    assert count_positive_roots(build_f(EquationInstance(3, 1))) == 1
-    assert count_positive_roots(build_f(EquationInstance(1, 4))) == 1
-    assert count_positive_roots(build_f(EquationInstance(6, 2))) == 1
+    assert count_positive_roots(build_f(3, 1)) == 1
+    assert count_positive_roots(build_f(1, 4)) == 1
+    assert count_positive_roots(build_f(6, 2)) == 1
 
 
 def test_root_count_grid():
     for ell in range(1, 9):
         for k in range(1, 9):
-            assert count_positive_roots(build_f(EquationInstance(ell, k))) == 1, (ell, k)
+            assert count_positive_roots(build_f(ell, k)) == 1, (ell, k)
 
 
 def test_root_count_sees_exact_grid_zero():
     # f = w - 21 with resolution chosen so 21 lands exactly on the grid
     from powerbalance.equation import FPolynomial
 
-    poly = FPolynomial(EquationInstance(1, 1), ((1, 1), (0, -21)))
+    poly = FPolynomial(((1, 1), (0, -21)))
     assert count_positive_roots(poly, resolution=44) == 1

@@ -7,7 +7,6 @@ import pytest
 
 import powerbalance.powersum as ps
 from powerbalance.powersum import (
-    PowerSumQuery,
     bernoulli_numbers,
     check_carlitz_von_staudt,
     check_macmillan_sondow,
@@ -60,30 +59,29 @@ def test_bernoulli_cache_concurrent_readers(monkeypatch):
 
 
 def test_query_validation():
-    with pytest.raises(ValueError):
-        PowerSumQuery(0, 3)
-    with pytest.raises(ValueError):
-        PowerSumQuery(2, -1)
+    for fn in (powersum_direct, powersum_closed):
+        with pytest.raises(ValueError):
+            fn(0, 3)
+        with pytest.raises(ValueError):
+            fn(2, -1)
 
 
 def test_direct_examples():
-    assert powersum_direct(PowerSumQuery(1, 7)) == 1
-    assert powersum_direct(PowerSumQuery(3, 3)) == 1 + 8 + 27 == 36
-    assert powersum_direct(PowerSumQuery(4, 5)) == 1 + 32 + 243 + 1024 == 1300
+    assert powersum_direct(1, 7) == 1
+    assert powersum_direct(3, 3) == 1 + 8 + 27 == 36
+    assert powersum_direct(4, 5) == 1 + 32 + 243 + 1024 == 1300
 
 
 def test_closed_examples():
-    assert powersum_closed(PowerSumQuery(10, 1)) == 55
-    assert powersum_closed(PowerSumQuery(3, 3)) == 36
-    q = PowerSumQuery(100, 9)
-    assert powersum_closed(q) == powersum_direct(q)
+    assert powersum_closed(10, 1) == 55
+    assert powersum_closed(3, 3) == 36
+    assert powersum_closed(100, 9) == powersum_direct(100, 9)
 
 
 def test_closed_equals_direct_on_grid():
     for k in range(1, 61):
         for m in range(0, 41):
-            q = PowerSumQuery(k, m)
-            assert powersum_closed(q) == powersum_direct(q), (k, m)
+            assert powersum_closed(k, m) == powersum_direct(k, m), (k, m)
 
 
 def test_closed_equals_summation_full_range():
@@ -92,7 +90,7 @@ def test_closed_equals_summation_full_range():
     for k in range(1, 501):
         full = powersum_batch(k, 40)
         for m in range(0, 41):
-            assert powersum_closed(PowerSumQuery(k, m)) == full[m], (k, m)
+            assert powersum_closed(k, m) == full[m], (k, m)
 
 
 def test_closed_raises_on_corrupt_bernoulli(monkeypatch):
@@ -100,7 +98,7 @@ def test_closed_raises_on_corrupt_bernoulli(monkeypatch):
     bad[2] += Fraction(1, 7)
     monkeypatch.setattr(ps, "bernoulli_numbers", lambda n: bad[: n + 1])
     with pytest.raises(RuntimeError):
-        powersum_closed(PowerSumQuery(5, 2))
+        powersum_closed(5, 2)
 
 
 def test_batch_matches_direct():
@@ -113,7 +111,7 @@ def test_batch_matches_direct():
         odd = powersum_batch(k, m_max, odd_only=True)
         assert sorted(odd) == list(range(1, m_max + 1, 2))
         for m, value in full.items():
-            assert value == powersum_direct(PowerSumQuery(k, m))
+            assert value == powersum_direct(k, m)
         assert all(odd[m] == full[m] for m in odd)
 
 
@@ -127,9 +125,9 @@ def test_batch_validation():
 def test_strictly_increasing_in_k_and_m():
     for k in range(2, 30):
         for m in range(1, 12):
-            here = powersum_direct(PowerSumQuery(k, m))
-            assert here > powersum_direct(PowerSumQuery(k - 1, m))
-            assert powersum_direct(PowerSumQuery(k, m + 1)) > here
+            here = powersum_direct(k, m)
+            assert here > powersum_direct(k - 1, m)
+            assert powersum_direct(k, m + 1) > here
 
 
 def test_carlitz_von_staudt_examples():
