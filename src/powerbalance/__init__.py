@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 
 from .arith import nu, odd_prime_factors, rad
 from .bounds import (
-    BoundData,
     check_appendix_identity,
     check_sandwich,
     compute_bounds,
@@ -49,7 +48,6 @@ from .powersum import (
 )
 
 __all__ = [
-    "BoundData",
     "Certificate",
     "FPolynomial",
     "FilterReport",

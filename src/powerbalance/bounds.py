@@ -9,7 +9,11 @@ positive root w(k) of f satisfies
 Since a solution w must be an integer and (ell-3)/12 <= a < (ell-2)/12 for
 ell >= 3, the ceiling tightens to w <= ell*K + (ell-3)/12, which in turn
 caps K at (ell-1)^2 (ell-2)^2 / (12*ell^2): only finitely many k remain for
-each ell.  Everything here is Fraction arithmetic; no rounding anywhere.
+each ell.  The integer list needs none of that tightening: writing
+ell - 3 = 12q + r with 0 <= r <= 11 gives a = q + r/12 + 1/(6*ell) with a
+fractional part below 1, so floor(ell*K + a) is already ell*K + q.  For
+ell in (1, 2), a = b = 0 and the window is the single point ell*K.
+Everything here is Fraction arithmetic; no rounding anywhere.
 
 check_sandwich confirms the window lemma for one (ell, k) from two exact
 signs: f has a single positive root because its coefficients change sign
@@ -17,27 +21,14 @@ once and f(0) < 0, so the root lies in the window exactly when f is
 nonpositive at the lower end and nonnegative at the upper end.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
 
 from .equation import build_f, eval_f, sign_changes
 
 
-@dataclass(frozen=True)
-class BoundData:
-    """The window [lower, upper] = [ell*K + a - b/K, ell*K + a] for one (ell, k)."""
-
-    ell: int
-    k: int
-    a: Fraction
-    b: Fraction
-    lower: Fraction
-    upper: Fraction
-
-
-def compute_bounds(ell: int, k: int) -> BoundData:
-    """Exact a, b and the root window for ell >= 1 and k >= 1."""
+def compute_bounds(ell: int, k: int) -> tuple[Fraction, Fraction]:
+    """The root window (ell*K + a - b/K, ell*K + a) for ell >= 1 and k >= 1."""
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
     if k < 1:
@@ -45,9 +36,8 @@ def compute_bounds(ell: int, k: int) -> BoundData:
     K = k * (k + 1)
     a = Fraction((ell - 1) * (ell - 2), 12 * ell)
     b = Fraction((ell - 1) ** 2 * (ell - 2) ** 2, 72 * ell**3)
-    assert b == 2 * a * a / ell
-    lower = ell * K + a - b / K
-    return BoundData(ell, k, a, b, lower, ell * K + a)
+    upper = ell * K + a
+    return upper - b / K, upper
 
 
 def corollary_K_bound(ell: int) -> Fraction:
@@ -68,23 +58,10 @@ def weak_K_bound(ell: int) -> Fraction:
     return Fraction((ell - 2) ** 2, 12)
 
 
-def integer_window_top(bd: BoundData) -> Fraction:
-    """Upper limit for integer candidates: min(upper, ell*K + (ell-3)/12).
-
-    The tightening is valid only for ell >= 3 (it needs a < (ell-2)/12);
-    for ell in (1, 2) the window is already the single point ell*K.
-    """
-    ell, K = bd.ell, bd.k * (bd.k + 1)
-    if ell < 3:
-        return bd.upper
-    return min(bd.upper, ell * K + Fraction(ell - 3, 12))
-
-
-def integers_in_window(bd: BoundData) -> list[int]:
-    """All integers w with lower <= w <= integer_window_top, ascending."""
-    lo = ceil(bd.lower)
-    hi = floor(integer_window_top(bd))
-    return list(range(lo, hi + 1))
+def integers_in_window(window: tuple[Fraction, Fraction]) -> list[int]:
+    """All integers w with lower <= w <= upper, ascending."""
+    lower, upper = window
+    return list(range(ceil(lower), floor(upper) + 1))
 
 
 def check_appendix_identity(ell, K) -> bool:
@@ -132,10 +109,10 @@ def check_sandwich(ell: int, k: int) -> bool:
     holds exactly when f(lower) <= 0 <= f(upper).  Raises ValueError if
     either property of f fails, since the two signs then prove nothing.
     """
-    bd = compute_bounds(ell, k)
+    lower, upper = compute_bounds(ell, k)
     poly = build_f(ell, k)
     if sign_changes(poly) != 1:
         raise ValueError("the window lemma needs exactly one coefficient sign change")
     if eval_f(poly, 0) >= 0:
         raise ValueError("the window lemma needs f(0) < 0")
-    return eval_f(poly, bd.lower) <= 0 <= eval_f(poly, bd.upper)
+    return eval_f(poly, lower) <= 0 <= eval_f(poly, upper)

@@ -259,6 +259,8 @@ def main(argv=None) -> int:
                 parser.error("--n, --k and --ell must all be >= 1")
             return _cmd_verify(args, out)
         if args.command == "lemmas":
+            if args.k_max < 1 or args.m_max < 3 or args.ell_max < 3 or args.samples < 0:
+                parser.error("need --k-max >= 1, --m-max >= 3, --ell-max >= 3 and --samples >= 0")
             return _cmd_lemmas(args, out, parser)
         if args.command == "oracle":
             if args.ell < 1 or args.n_max < 1 or args.k_max < 1:

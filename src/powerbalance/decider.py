@@ -179,8 +179,8 @@ def decide(ell: int, mode: str = FAST) -> Certificate:
     solutions = []
     k = 1
     while k * (k + 1) <= sharp:
-        bd = compute_bounds(ell, k)
-        ws = integers_in_window(bd)
+        window = compute_bounds(ell, k)
+        ws = integers_in_window(window)
         poly = None
         sums = None
         evaluations = []
@@ -196,7 +196,7 @@ def decide(ell: int, mode: str = FAST) -> Certificate:
                 # is even and radical-admissible with ell >= 6, so it gets the
                 # collapse replay.
                 if sums is None:
-                    sums = powersum_batch(k, ell, odd_only=True)
+                    sums = powersum_batch(k, ell)
                     if mode == PARANOID:
                         _crosscheck_powersums(ell, k, sums)
                 if mode == PARANOID:
@@ -214,9 +214,7 @@ def decide(ell: int, mode: str = FAST) -> Certificate:
             if status == SOLUTION:
                 solutions.append((w - k, k))
             evaluations.append(CandidateEvaluation(w, tuple(reports), sign, status))
-        records.append(
-            CandidateRecord(k, (bd.lower, bd.upper), tuple(ws), tuple(evaluations))
-        )
+        records.append(CandidateRecord(k, window, tuple(ws), tuple(evaluations)))
         k += 1
 
     if mode == PARANOID:

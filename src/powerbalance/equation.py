@@ -47,15 +47,15 @@ class FPolynomial:
 def build_f(ell: int, k: int, sums: dict[int, int] | None = None) -> FPolynomial:
     """Assemble the exact coefficients of f(k, w) for ell >= 1 and k >= 1.
 
-    sums, if given, must be powersum_batch(k, ell, odd_only=True); passing
-    a batch the caller already holds saves computing it again.
+    sums, if given, must be powersum_batch(k, ell); passing a batch the
+    caller already holds saves computing it again.
     """
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if sums is None:
-        sums = powersum_batch(k, ell, odd_only=True)
+        sums = powersum_batch(k, ell)
     shift = 0 if ell % 2 == 1 else 1
     coeffs = [(ell - shift, 1)]
     for m in range(1, ell + 1, 2):

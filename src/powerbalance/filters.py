@@ -128,7 +128,7 @@ def check_modular_collapse(
     f = nu(2, k * (k + 1))
     g = nu(2, w)
     s_exp = (2 * f - 1) + 2 * g + (e if even else 0)
-    sums = precomputed_sums if precomputed_sums is not None else powersum_batch(k, ell, odd_only=True)
+    sums = precomputed_sums if precomputed_sums is not None else powersum_batch(k, ell)
     shift = 1 if even else 0  # even case works with the w-divided equation
     top_m = ell - 1 if even else ell
 

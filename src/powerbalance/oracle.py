@@ -6,17 +6,16 @@ sides of the balanced equation agree, using nothing but exact integer
 sums -- slid incrementally along n and k so the box costs O(n_max * k_max)
 additions instead of a triple loop of powers.
 
-count_positive_roots counts positive real roots of f directly: exact sign
-scan on a grid past the Cauchy bound, each sign flip pinned down by
-bisection.  It evaluates the polynomial with its own Horner loop rather
-than any of the equation module's machinery.
+count_positive_roots counts positive real roots of f directly by an exact
+grid scan past the Cauchy bound, one root per sign flip.  It evaluates the
+polynomial with its own Horner loop rather than any of the equation
+module's machinery.
 """
 
 from fractions import Fraction
 
 from .equation import FPolynomial
 
-BISECTION_TOLERANCE = Fraction(1, 2**30)
 DEFAULT_GRID_CELLS = 1024
 
 
@@ -61,35 +60,22 @@ def _horner(coefficients, x):
 
 
 def count_positive_roots(poly: FPolynomial, resolution: int = DEFAULT_GRID_CELLS) -> int:
-    """Number of positive real roots of f, located by grid scan + bisection.
+    """Number of positive real roots of f, located by grid scan.
 
     The grid spans (0, 2*(1 + max |coefficient|)], which lies beyond every
-    root by the Cauchy bound.  All evaluation is exact rational; roots
-    closer together than BISECTION_TOLERANCE would be conflated, which is
-    harmless here since the coefficient shape admits at most one.
+    root by the Cauchy bound.  All evaluation is exact rational; each grid
+    point where f vanishes or changes sign counts one root, so roots sharing
+    a grid cell would be conflated, which is harmless here since the
+    coefficient shape admits at most one.
     """
     coeffs = poly.coefficients
     bound = 2 * (1 + max(abs(c) for _, c in coeffs))
     step = Fraction(bound, resolution)
     count = 0
-    prev_x = Fraction(0)
-    prev_v = _horner(coeffs, prev_x)  # a zero here is w = 0, not a positive root
+    prev_v = _horner(coeffs, Fraction(0))  # a zero here is w = 0, not a positive root
     for i in range(1, resolution + 1):
-        x = i * step
-        v = _horner(coeffs, x)
-        if v == 0:
+        v = _horner(coeffs, i * step)
+        if v == 0 or (prev_v != 0 and (prev_v < 0) != (v < 0)):
             count += 1
-        elif prev_v != 0 and (prev_v < 0) != (v < 0):
-            lo, hi = prev_x, x
-            while hi - lo > BISECTION_TOLERANCE:
-                mid = (lo + hi) / 2
-                mv = _horner(coeffs, mid)
-                if mv == 0:
-                    break
-                if (mv < 0) == (prev_v < 0):
-                    lo = mid
-                else:
-                    hi = mid
-            count += 1
-        prev_x, prev_v = x, v
+        prev_v = v
     return count

@@ -5,9 +5,9 @@ Three routes to the same integers:
 * ``powersum_direct`` -- term-by-term summation, the reference method;
 * ``powersum_closed`` -- Faulhaber polynomial with exact rational Bernoulli
   coefficients, verified integral before returning;
-* ``powersum_batch``  -- all S_m(k) for m up to a bound in one incremental
-  pass, the engine the decision procedure uses (stepping i^m -> i^(m+2)
-  avoids recomputing every power from scratch).
+* ``powersum_batch``  -- all S_m(k) for odd m up to a bound in one
+  incremental pass, the engine the decision procedure uses (stepping
+  i^m -> i^(m+2) avoids recomputing every power from scratch).
 
 Two classical congruence/valuation facts about these sums are exposed as
 checkable predicates: Carlitz-von Staudt (k(k+1)/2 divides S_m(k) for odd m)
@@ -80,28 +80,20 @@ def powersum_closed(k: int, m: int) -> int:
     return total.numerator
 
 
-def powersum_batch(k: int, m_max: int, odd_only: bool = False) -> dict[int, int]:
-    """All S_m(k) for 0 <= m <= m_max (odd m only if odd_only), incrementally.
+def powersum_batch(k: int, m_max: int) -> dict[int, int]:
+    """S_m(k) for every odd m with 1 <= m <= m_max, incrementally.
 
     One multiplication per (i, m) step instead of a fresh i**m per sum;
     this is what makes exponent sweeps affordable.
     """
     _check_k_m(k, m_max)
     out: dict[int, int] = {}
-    if odd_only:
-        powers = list(range(1, k + 1))
-        steps = [i * i for i in range(1, k + 1)]
-        m = 1
-    else:
-        powers = [1] * k
-        steps = list(range(1, k + 1))
-        m = 0
-    stride = 2 if odd_only else 1
-    while m <= m_max:
+    powers = list(range(1, k + 1))
+    steps = [i * i for i in range(1, k + 1)]
+    for m in range(1, m_max + 1, 2):
         out[m] = sum(powers)
         for i in range(k):
             powers[i] *= steps[i]
-        m += stride
     return out
 
 

@@ -96,7 +96,7 @@ def test_criterion_3_small_exponent_search():
 def _power_sum_identity_scan():
     """Yield (k, f, m, S_m(k)) for k <= 500 and odd m <= 39."""
     for k in range(1, 501):
-        sums = powersum_batch(k, 39, odd_only=True)
+        sums = powersum_batch(k, 39)
         f = nu(2, k * (k + 1))
         for m, s in sums.items():
             yield k, f, m, s

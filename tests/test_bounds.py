@@ -1,8 +1,8 @@
 """The exact root window, the finite K bound, and the inequality chain."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction
+from math import floor
 
 import pytest
 
@@ -12,38 +12,41 @@ from powerbalance.bounds import (
     check_sandwich,
     compute_bounds,
     corollary_K_bound,
-    integer_window_top,
     integers_in_window,
     weak_K_bound,
 )
 from powerbalance.equation import FPolynomial
 
 
+def _a_and_b(ell, k):
+    # the window is (ell*K + a - b/K, ell*K + a), so a and b read back exactly
+    K = k * (k + 1)
+    lower, upper = compute_bounds(ell, k)
+    return upper - ell * K, (upper - lower) * K
+
+
 def test_window_exact_values():
-    bd = compute_bounds(8, 1)
-    assert bd.a == Fraction(7, 16)
-    assert bd.b == Fraction(49, 1024)
-    assert bd.lower == 16 + Fraction(847, 2048)
-    assert bd.upper == 16 + Fraction(7, 16)
+    assert compute_bounds(8, 1) == (16 + Fraction(847, 2048), 16 + Fraction(7, 16))
+    assert _a_and_b(8, 1) == (Fraction(7, 16), Fraction(49, 1024))
 
 
 @pytest.mark.parametrize("ell", [1, 2])
 def test_window_degenerates_for_small_ell(ell):
     for k in (1, 3, 9):
-        bd = compute_bounds(ell, k)
-        assert bd.a == 0 and bd.b == 0
-        assert bd.lower == bd.upper == ell * k * (k + 1)
+        assert _a_and_b(ell, k) == (0, 0)
+        lower, upper = compute_bounds(ell, k)
+        assert lower == upper == ell * k * (k + 1)
 
 
 def test_b_is_two_a_squared_over_ell():
     for ell in range(1, 101):
-        bd = compute_bounds(ell, 2)
-        assert bd.b == 2 * bd.a**2 / ell
+        a, b = _a_and_b(ell, 2)
+        assert ell * b == 2 * a**2
 
 
 def test_a_sits_between_twelfths():
     for ell in range(3, 61):
-        a = compute_bounds(ell, 1).a
+        a, _ = _a_and_b(ell, 1)
         assert Fraction(ell - 3, 12) <= a < Fraction(ell - 2, 12)
 
 
@@ -68,11 +71,17 @@ def test_integer_window_examples():
     assert integers_in_window(compute_bounds(2, 2)) == [12]
 
 
-def test_integer_window_tightening_applies_only_beyond_two():
-    bd = compute_bounds(8, 1)
-    assert integer_window_top(bd) == 16 + Fraction(5, 12) < bd.upper
-    bd = compute_bounds(1, 3)
-    assert integer_window_top(bd) == bd.upper == 12
+def test_window_floor_needs_no_tightening():
+    # floor(ell*K + a) == ell*K + floor((ell-3)/12): the integer tightening
+    # behind the K bound removes no integer from any window
+    for ell in range(3, 10**4 + 1):
+        for k in (1, 2):
+            K = k * (k + 1)
+            _, upper = compute_bounds(ell, k)
+            assert floor(upper) == ell * K + (ell - 3) // 12, (ell, k)
+    for ell in (1, 2):
+        for k in (1, 3, 9):
+            assert integers_in_window(compute_bounds(ell, k)) == [ell * k * (k + 1)]
 
 
 def test_chain_agreement_fixed_points():
@@ -117,11 +126,11 @@ def test_sandwich_rejects_a_shifted_window(monkeypatch, above):
     real = bounds.compute_bounds
 
     def shifted(ell, k):
-        bd = real(ell, k)
-        step = bd.upper - bd.lower + 1
+        lower, upper = real(ell, k)
+        step = upper - lower + 1
         if not above:
             step = -step
-        return replace(bd, lower=bd.lower + step, upper=bd.upper + step)
+        return lower + step, upper + step
 
     monkeypatch.setattr(bounds, "compute_bounds", shifted)
     for ell, k in [(1, 3), (2, 2), (3, 1), (8, 2), (10, 5), (60, 40)]:

@@ -119,6 +119,16 @@ def test_lemmas_rejects_unknown_name(capsys):
     capsys.readouterr()
 
 
+def test_lemmas_rejects_ranges_that_check_nothing(capsys):
+    smallest = ["lemmas", "--k-max", "1", "--m-max", "3", "--ell-max", "3", "--samples", "0"]
+    code, out = run(capsys, *smallest)
+    assert code == 0 and out.count(": PASS") == 5
+    assert main(["lemmas", "--k-max", "0", "--m-max", "0", "--ell-max", "0"]) == 2
+    for flag, value in [("--k-max", "0"), ("--m-max", "2"), ("--ell-max", "2"), ("--samples", "-1")]:
+        code, out = run(capsys, *smallest, flag, value)
+        assert code == 2 and "PASS" not in out, flag
+
+
 def test_oracle_search(capsys):
     code, out = run(capsys, "oracle", "--ell", "2", "--n-max", "25", "--k-max", "3", "--json")
     assert code == 0

@@ -1,5 +1,6 @@
 """The per-exponent decision procedure and its certificates."""
 
+import hashlib
 import json
 
 import pytest
@@ -69,9 +70,27 @@ def test_family_certificate_bytes_are_unchanged(ell):
     assert certificate_json(decide(ell), include_timing=False) == FAMILY_CERTIFICATES[ell]
 
 
+# SHA-256 of certificate_json(decide(ell, mode), include_timing=False), pinned
+# from output that listed window integers under the (ell-3)/12 tightening: the
+# plain ceil(lower)..floor(upper) listing must reproduce it byte for byte
+CERTIFICATE_DIGESTS = {
+    (8, FAST): "b0c158a479852bc47b87f84ed3e38cca5f27e5241d998850b3dd05342830ab44",
+    (15, FAST): "28bdfaef8953421859a6d5a61b92eac008aa1a06066c05e1e593169cd6461041",
+    (64, FAST): "2533b7439a52a863d89396fbc2993a78ec6a5968b2f55c014947706da58ebdb9",
+    (999, FAST): "d082b19674ce041a168a27a7a3e678a6cbdd658e0d65a69b97e7ef8f5b7b967c",
+    (27, PARANOID): "88320a64d6ba1c902442a00475b61da97496f0a783c7277bf9950b57d28fc84a",
+}
+
+
+@pytest.mark.parametrize("ell, mode", sorted(CERTIFICATE_DIGESTS))
+def test_certificate_bytes_are_pinned(ell, mode):
+    text = certificate_json(decide(ell, mode), include_timing=False)
+    assert hashlib.sha256(text.encode()).hexdigest() == CERTIFICATE_DIGESTS[ell, mode]
+
+
 def test_public_api():
     expected = [
-        "BoundData", "Certificate", "FPolynomial", "FilterReport",
+        "Certificate", "FPolynomial", "FilterReport",
         "bernoulli_numbers", "build_f", "certificate_json", "check_appendix_identity",
         "check_carlitz_von_staudt", "check_macmillan_sondow", "check_modular_collapse",
         "check_sandwich", "compute_bounds", "corollary_K_bound", "count_positive_roots",
@@ -158,9 +177,9 @@ def test_fast_mode_never_builds_the_polynomial(monkeypatch):
     batches = []
     real_batch = decider.powersum_batch
 
-    def counted_batch(k, m_max, odd_only=False):
+    def counted_batch(k, m_max):
         batches.append(k)
-        return real_batch(k, m_max, odd_only=odd_only)
+        return real_batch(k, m_max)
 
     monkeypatch.setattr(decider, "build_f", forbidden)
     monkeypatch.setattr(decider, "eval_f", forbidden)

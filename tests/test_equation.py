@@ -96,9 +96,9 @@ def test_direct_summation_matches_f_on_window_integers():
     in_window = 0
     for ell in range(3, 61):
         for k in range(1, 41):
-            bd = compute_bounds(ell, k)
-            ws = integers_in_window(bd)
-            below, above = ceil(bd.lower) - 1, floor(bd.upper) + 1
+            lower, upper = compute_bounds(ell, k)
+            ws = integers_in_window((lower, upper))
+            below, above = ceil(lower) - 1, floor(upper) + 1
             poly = build_f(ell, k)
             for w in [below, *ws, above]:
                 value = eval_f(poly, w)
