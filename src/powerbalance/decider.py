@@ -177,6 +177,7 @@ def decide(ell: int, mode: str = FAST) -> Certificate:
     sharp = corollary_K_bound(ell)
     records = []
     solutions = []
+    batch = None
     k = 1
     while k * (k + 1) <= sharp:
         window = compute_bounds(ell, k)
@@ -194,9 +195,11 @@ def decide(ell: int, mode: str = FAST) -> Certificate:
                 # Every k that gets here needs the batch: paranoid mode builds
                 # f from it, and a fast-mode candidate that passed every filter
                 # is even and radical-admissible with ell >= 6, so it gets the
-                # collapse replay.
+                # collapse replay.  The batch runs on from the last k that
+                # needed one, so it costs (k - k0) * ell/2 steps, not k * ell/2.
                 if sums is None:
-                    sums = powersum_batch(k, ell)
+                    sums = powersum_batch(k, ell, start=batch)
+                    batch = (k, sums)
                     if mode == PARANOID:
                         _crosscheck_powersums(ell, k, sums)
                 if mode == PARANOID:

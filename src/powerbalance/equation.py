@@ -28,7 +28,6 @@ mode, the root-counting oracle and the window lemmas use.
 """
 
 from dataclasses import dataclass
-from math import comb
 
 from .powersum import powersum_batch
 
@@ -48,7 +47,9 @@ def build_f(ell: int, k: int, sums: dict[int, int] | None = None) -> FPolynomial
     """Assemble the exact coefficients of f(k, w) for ell >= 1 and k >= 1.
 
     sums, if given, must be powersum_batch(k, ell); passing a batch the
-    caller already holds saves computing it again.
+    caller already holds saves computing it again.  The odd binomials
+    C(ell, m) are walked up the row by the exact recurrence
+    C(ell, m+2) = C(ell, m) (ell-m) (ell-m-1) / ((m+1) (m+2)).
     """
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
@@ -58,8 +59,10 @@ def build_f(ell: int, k: int, sums: dict[int, int] | None = None) -> FPolynomial
         sums = powersum_batch(k, ell)
     shift = 0 if ell % 2 == 1 else 1
     coeffs = [(ell - shift, 1)]
+    binom = ell
     for m in range(1, ell + 1, 2):
-        coeffs.append((ell - m - shift, -2 * comb(ell, m) * sums[m]))
+        coeffs.append((ell - m - shift, -2 * binom * sums[m]))
+        binom = binom * (ell - m) * (ell - m - 1) // ((m + 1) * (m + 2))
     return FPolynomial(tuple(coeffs))
 
 

@@ -6,17 +6,19 @@ sides of the balanced equation agree, using nothing but exact integer
 sums -- slid incrementally along n and k so the box costs O(n_max * k_max)
 additions instead of a triple loop of powers.
 
-count_positive_roots counts positive real roots of f directly by an exact
-grid scan past the Cauchy bound, one root per sign flip.  It evaluates the
-polynomial with its own Horner loop rather than any of the equation
-module's machinery.
+count_positive_roots counts the distinct positive real roots of f exactly,
+by Sturm's theorem: the Sturm chain f, f', -rem(f, f'), ... is built with
+integer pseudo-remainders (content removed at each step, signs kept), and
+the count is its sign variations just right of 0 minus those at infinity.
+The last member of the chain is gcd(f, f') up to a constant, so
+has_simple_roots reads off from the same chain whether every root is
+simple.  Together they prove "exactly one simple positive root" without
+the Descartes sign pattern the decision procedure relies on.
 """
 
-from fractions import Fraction
+from math import gcd
 
 from .equation import FPolynomial
-
-DEFAULT_GRID_CELLS = 1024
 
 
 def oracle_search(ell: int, n_max: int, k_max: int) -> list[tuple[int, int]]:
@@ -45,37 +47,78 @@ def oracle_search(ell: int, n_max: int, k_max: int) -> list[tuple[int, int]]:
     return sorted(found)
 
 
-def _horner(coefficients, x):
-    acc = 0
-    prev = None
-    for exp, c in coefficients:
-        if prev is None:
-            acc = c
-        else:
-            acc = acc * x ** (prev - exp) + c
-        prev = exp
-    if prev:
-        acc = acc * x**prev
-    return acc
+def _dense(poly: FPolynomial) -> list[int]:
+    """Coefficients of poly by descending power, zeros filled in."""
+    terms = [(exp, c) for exp, c in poly.coefficients if c]
+    if not terms:
+        raise ValueError("the zero polynomial has no finite root count")
+    degree = max(exp for exp, _ in terms)
+    dense = [0] * (degree + 1)
+    for exp, c in terms:
+        dense[degree - exp] += c
+    return dense
 
 
-def count_positive_roots(poly: FPolynomial, resolution: int = DEFAULT_GRID_CELLS) -> int:
-    """Number of positive real roots of f, located by grid scan.
+def _primitive(p: list[int]) -> list[int]:
+    """p with leading zeros dropped and divided by its (positive) content."""
+    while p and p[0] == 0:
+        p = p[1:]
+    content = gcd(*p) or 1
+    return [c // content for c in p]
 
-    The grid spans (0, 2*(1 + max |coefficient|)], which lies beyond every
-    root by the Cauchy bound.  All evaluation is exact rational; each grid
-    point where f vanishes or changes sign counts one root, so roots sharing
-    a grid cell would be conflated, which is harmless here since the
-    coefficient shape admits at most one.
+
+def _positive_remainder(a: list[int], b: list[int]) -> list[int]:
+    """A positive integer multiple of the remainder of a modulo b.
+
+    Fraction-free pseudo-division: each step scales the running remainder
+    by |lc(b)| before cancelling its leading term, so the signs, which are
+    all Sturm's theorem reads, are those of the true remainder.
     """
-    coeffs = poly.coefficients
-    bound = 2 * (1 + max(abs(c) for _, c in coeffs))
-    step = Fraction(bound, resolution)
-    count = 0
-    prev_v = _horner(coeffs, Fraction(0))  # a zero here is w = 0, not a positive root
-    for i in range(1, resolution + 1):
-        v = _horner(coeffs, i * step)
-        if v == 0 or (prev_v != 0 and (prev_v < 0) != (v < 0)):
-            count += 1
-        prev_v = v
-    return count
+    lead = b[0]
+    scale, sign = abs(lead), 1 if lead > 0 else -1
+    r = a
+    while len(r) >= len(b):
+        c = r[0] * sign
+        r = [scale * x - c * y for x, y in zip(r, b)] + [scale * x for x in r[len(b):]]
+        r = _primitive(r[1:])
+    return r
+
+
+def _sturm_chain(poly: FPolynomial) -> list[list[int]]:
+    """f, f', then each negated remainder, every member primitive; the last
+    member is gcd(f, f') up to a constant factor."""
+    chain = [_primitive(_dense(poly))]
+    degree = len(chain[0]) - 1
+    derivative = [c * (degree - i) for i, c in enumerate(chain[0][:-1])]
+    if derivative:
+        chain.append(_primitive(derivative))
+    while len(chain[-1]) > 1:
+        rem = _positive_remainder(chain[-2], chain[-1])
+        if not rem:
+            break
+        chain.append([-c for c in rem])
+    return chain
+
+
+def _variations(values: list[int]) -> int:
+    """Sign changes along a list of nonzero integers."""
+    return sum(1 for s, t in zip(values, values[1:]) if (s > 0) != (t > 0))
+
+
+def count_positive_roots(poly: FPolynomial) -> int:
+    """Number of distinct positive real roots of f, exactly, by Sturm's theorem.
+
+    Just right of 0 each chain member has the sign of its lowest nonzero
+    coefficient, and at infinity that of its leading one; the drop in sign
+    variations between the two is the number of distinct roots in (0, inf).
+    A root at w = 0 is not counted.
+    """
+    chain = _sturm_chain(poly)
+    near_zero = [next(c for c in reversed(p) if c) for p in chain]
+    at_infinity = [p[0] for p in chain]
+    return _variations(near_zero) - _variations(at_infinity)
+
+
+def has_simple_roots(poly: FPolynomial) -> bool:
+    """Is every complex root of f simple, i.e. is gcd(f, f') a constant?"""
+    return len(_sturm_chain(poly)[-1]) == 1

@@ -3,11 +3,15 @@
 Three routes to the same integers:
 
 * ``powersum_direct`` -- term-by-term summation, the reference method;
-* ``powersum_closed`` -- Faulhaber polynomial with exact rational Bernoulli
-  coefficients, verified integral before returning;
+* ``powersum_closed`` -- the Faulhaber polynomial, built once per m from the
+  exact rational Bernoulli numbers and kept as integer coefficients over one
+  common denominator D_m; each evaluation is Horner's rule on integers and
+  one division by D_m, whose remainder must be zero;
 * ``powersum_batch``  -- all S_m(k) for odd m up to a bound in one
   incremental pass, the engine the decision procedure uses (stepping
-  i^m -> i^(m+2) avoids recomputing every power from scratch).
+  i^m -> i^(m+2) avoids recomputing every power anew).  Given a
+  batch already held for some k0 <= k, it adds only the terms i^m with
+  k0 < i <= k, so a caller walking k upward pays O(m_max) per step.
 
 Two classical congruence/valuation facts about these sums are exposed as
 checkable predicates: Carlitz-von Staudt (k(k+1)/2 divides S_m(k) for odd m)
@@ -15,7 +19,7 @@ and MacMillan-Sondow (nu_2(2*S_m(k)) = 2*nu_2(k(k+1)) - 1 for odd m >= 3).
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .arith import nu
 
@@ -60,40 +64,69 @@ def powersum_direct(k: int, m: int) -> int:
     return sum(i**m for i in range(1, k + 1))
 
 
+# Faulhaber memo: m -> (D_m, c), where c lists integer coefficients by
+# descending power of k and S_m(k) = (c[0] k^(m+1) + ... + c[m] k) / D_m.
+# Racing threads may build an entry twice; both store the same value.
+_FAULHABER: dict[int, tuple[int, tuple[int, ...]]] = {}
+
+
+def _faulhaber(m: int) -> tuple[int, tuple[int, ...]]:
+    """The memoized integer form (D_m, coefficients) of Faulhaber's formula.
+
+    S_m(k) = sum_j C(m+1, j) B_j k^(m+1-j) / (m+1); D_m is the least common
+    denominator of those rational coefficients.
+    """
+    entry = _FAULHABER.get(m)
+    if entry is None:
+        bern = bernoulli_numbers(m)
+        rational = [comb(m + 1, j) * bern[j] / (m + 1) for j in range(m + 1)]
+        denom = lcm(*(q.denominator for q in rational))
+        coeffs = tuple(q.numerator * (denom // q.denominator) for q in rational)
+        entry = _FAULHABER[m] = (denom, coeffs)
+    return entry
+
+
 def powersum_closed(k: int, m: int) -> int:
     """S_m(k), for k >= 1 and m >= 0, from the degree-(m+1) Faulhaber polynomial.
 
-    The rational evaluation must come out integral; a non-integral value
-    would mean a bug in the Bernoulli table and is raised, never truncated.
+    The integer numerator must be divisible by D_m; a nonzero remainder
+    would mean a bug in the Bernoulli table or the memo and is raised,
+    never truncated.
     """
     _check_k_m(k, m)
-    bern = bernoulli_numbers(m)
-    total = Fraction(0)
-    for j in range(m + 1):
-        if bern[j]:
-            total += comb(m + 1, j) * bern[j] * k ** (m + 1 - j)
-    total /= m + 1
-    if total.denominator != 1:
+    denom, coeffs = _faulhaber(m)
+    acc = 0
+    for c in coeffs:
+        acc = (acc + c) * k
+    total, rem = divmod(acc, denom)
+    if rem:
         raise RuntimeError(
-            f"Faulhaber evaluation of S_{m}({k}) is not integral: {total}"
+            f"Faulhaber evaluation of S_{m}({k}) is not integral: {acc}/{denom}"
         )
-    return total.numerator
+    return total
 
 
-def powersum_batch(k: int, m_max: int) -> dict[int, int]:
+def powersum_batch(
+    k: int, m_max: int, start: tuple[int, dict[int, int]] | None = None
+) -> dict[int, int]:
     """S_m(k) for every odd m with 1 <= m <= m_max, incrementally.
 
     One multiplication per (i, m) step instead of a fresh i**m per sum;
-    this is what makes exponent sweeps affordable.
+    this is what makes exponent sweeps affordable.  start, if given, is a
+    pair (k0, powersum_batch(k0, m_max)) with 0 <= k0 <= k, and only the
+    terms i^m with k0 < i <= k are added to it; the default is k0 = 0.
     """
     _check_k_m(k, m_max)
+    k0, base = start if start is not None else (0, None)
+    if not 0 <= k0 <= k:
+        raise ValueError(f"start must lie in 0..{k}, got {k0}")
     out: dict[int, int] = {}
-    powers = list(range(1, k + 1))
-    steps = [i * i for i in range(1, k + 1)]
+    powers = list(range(k0 + 1, k + 1))
+    steps = [i * i for i in powers]
     for m in range(1, m_max + 1, 2):
-        out[m] = sum(powers)
-        for i in range(k):
-            powers[i] *= steps[i]
+        out[m] = sum(powers) if base is None else base[m] + sum(powers)
+        for i, step in enumerate(steps):
+            powers[i] *= step
     return out
 
 

@@ -2,6 +2,8 @@
 
 The two full-range sweeps (exponents 3..1000, fast and paranoid) dominate
 the runtime; they are computed once in module-scoped fixtures and shared.
+On a 2-core host with Python 3.11 the paranoid sweep takes about 235 s and
+the fast one about 4 s, of a Tier-1 run of about 257 s.
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete.
 """
@@ -29,7 +31,7 @@ from powerbalance.equation import (
     solution_family,
     verify_instance,
 )
-from powerbalance.oracle import count_positive_roots, oracle_search
+from powerbalance.oracle import count_positive_roots, has_simple_roots, oracle_search
 from powerbalance.powersum import (
     check_carlitz_von_staudt,
     check_macmillan_sondow,
@@ -132,7 +134,8 @@ def test_criterion_6_single_positive_root():
             poly = build_f(ell, k)
             assert sign_changes(poly) == 1, (ell, k)
             assert count_positive_roots(poly) == 1, (ell, k)
-    report(6, "sign_changes = 1 and exactly one positive root for all ell,k <= 20")
+            assert has_simple_roots(poly), (ell, k)
+    report(6, "sign_changes = 1 and exactly one simple positive root for all ell,k <= 20")
 
 
 def test_criterion_7_window_traps_root():

@@ -21,6 +21,7 @@ from powerbalance.decider import (
 )
 from powerbalance.equation import verify_instance
 from powerbalance.oracle import oracle_search
+from powerbalance.powersum import powersum_direct
 
 
 def test_decide_three_has_no_candidates():
@@ -170,31 +171,97 @@ def test_sweep_worker_count_does_not_change_output():
     assert serial == parallel
 
 
+def _spy_on_batches(monkeypatch):
+    """Record (k0, k, sums) for every batch decide computes; k0 = 0 is a rebuild."""
+    calls = []
+    real_batch = decider.powersum_batch
+
+    def spy(k, m_max, start=None):
+        sums = real_batch(k, m_max, start=start)
+        calls.append((0 if start is None else start[0], k, sums))
+        return sums
+
+    monkeypatch.setattr(decider, "powersum_batch", spy)
+    return calls
+
+
+def _replayed_ks(cert):
+    return [
+        rec.k
+        for rec in cert.candidates
+        if any(r.name == "modular_collapse" for ev in rec.per_candidate for r in ev.filters)
+    ]
+
+
 def test_fast_mode_never_builds_the_polynomial(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("fast mode must not build or evaluate f")
 
-    batches = []
-    real_batch = decider.powersum_batch
-
-    def counted_batch(k, m_max):
-        batches.append(k)
-        return real_batch(k, m_max)
-
     monkeypatch.setattr(decider, "build_f", forbidden)
     monkeypatch.setattr(decider, "eval_f", forbidden)
-    monkeypatch.setattr(decider, "powersum_batch", counted_batch)
+    calls = _spy_on_batches(monkeypatch)
     for ell in (5, 27, 54, 75, 1000):
-        batches.clear()
+        calls.clear()
         cert = decide(ell, mode=FAST)
         assert cert.verdict == NO_SOLUTION
-        replayed = [
-            rec.k
-            for rec in cert.candidates
-            if any(r.name == "modular_collapse" for ev in rec.per_candidate for r in ev.filters)
-        ]
-        # one batch per k, and only for a k whose candidates need the replay
-        assert batches == replayed, ell
+        replayed = _replayed_ks(cert)
+        # batch work only for a k whose candidates need the replay, once per
+        # such k, in ascending order, each batch running on from the last
+        assert [k for _, k, _ in calls] == replayed, ell
+        assert [k0 for k0, _, _ in calls] == [0, *replayed][:-1], ell
+
+
+@pytest.mark.parametrize(
+    "ell, mode",
+    [
+        (27, PARANOID), (75, PARANOID), (255, PARANOID), (291, PARANOID),
+        (1000, FAST),
+        (363, FAST),  # replays k = 1..5, 8, 9, 15, 24, 80: the batch jumps gaps
+    ],
+)
+def test_running_batch_equals_direct_sums(monkeypatch, ell, mode):
+    calls = _spy_on_batches(monkeypatch)
+    cert = decide(ell, mode=mode)
+    if mode == FAST:
+        used = _replayed_ks(cert)
+    else:
+        used = [rec.k for rec in cert.candidates if rec.integer_candidates]
+    assert calls and [k for _, k, _ in calls] == used
+    for _, k, sums in calls:
+        assert sums == {m: powersum_direct(k, m) for m in range(1, ell + 1, 2)}, (ell, k)
+
+
+def _corrupt_first_batch_past_one(monkeypatch, corrupt):
+    """Make decide see one corrupted S_3(k) in its first batch with k >= 2."""
+    real_batch = decider.powersum_batch
+
+    def corrupted(k, m_max, start=None):
+        sums = real_batch(k, m_max, start=start)
+        if k >= 2:
+            sums = dict(sums)
+            sums[3] = corrupt(k, sums[3])
+        return sums
+
+    monkeypatch.setattr(decider, "powersum_batch", corrupted)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        # k(k+1)/2 >= 3 no longer divides the sum
+        (lambda k, s: s + 1, "failed divisibility"),
+        # still divisible, but nu_2(2s) is one too high
+        (lambda k, s: 2 * s, "failed 2-adic valuation"),
+        # divisible, with the right valuation, and wrong: nu_2(K^2) = 2 nu_2(K)
+        # lies above nu_2(s) = 2 nu_2(K) - 2
+        (lambda k, s: s + (k * (k + 1)) ** 2, "disagrees with closed form"),
+    ],
+)
+def test_paranoid_mode_crosschecks_every_batch(monkeypatch, corrupt, message):
+    _corrupt_first_batch_past_one(monkeypatch, corrupt)
+    assert decide(27, mode=FAST).verdict == NO_SOLUTION
+    with pytest.raises(RuntimeError, match=message):
+        decide(27, mode=PARANOID)
 
 
 def test_paranoid_mode_rejects_disagreeing_sign_routes(monkeypatch):

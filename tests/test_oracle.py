@@ -2,8 +2,8 @@
 
 import pytest
 
-from powerbalance.equation import build_f
-from powerbalance.oracle import count_positive_roots, oracle_search
+from powerbalance.equation import FPolynomial, build_f
+from powerbalance.oracle import count_positive_roots, has_simple_roots, oracle_search
 
 
 def _naive_search(ell, n_max, k_max):
@@ -55,9 +55,55 @@ def test_root_count_grid():
             assert count_positive_roots(build_f(ell, k)) == 1, (ell, k)
 
 
-def test_root_count_sees_exact_grid_zero():
-    # f = w - 21 with resolution chosen so 21 lands exactly on the grid
-    from powerbalance.equation import FPolynomial
+def _from_factors(*factors):
+    """FPolynomial of the product of integer factors, each by descending power."""
+    product = [1]
+    for factor in factors:
+        out = [0] * (len(product) + len(factor) - 1)
+        for i, a in enumerate(product):
+            for j, b in enumerate(factor):
+                out[i + j] += a * b
+        product = out
+    degree = len(product) - 1
+    return FPolynomial(tuple((degree - i, c) for i, c in enumerate(product)))
 
-    poly = FPolynomial(((1, 1), (0, -21)))
-    assert count_positive_roots(poly, resolution=44) == 1
+
+def test_root_count_sees_integer_root():
+    # the grid scan needed a resolution putting 21 on a grid point
+    assert count_positive_roots(_from_factors([1, -21])) == 1
+    assert count_positive_roots(_from_factors([1, -21], [1, 5])) == 1
+    assert count_positive_roots(_from_factors([1, -21], [1, -22], [1, 0, 3])) == 2
+
+
+def test_root_count_sees_double_root():
+    double = _from_factors([1, -2], [1, -2], [1, 1])
+    assert count_positive_roots(double) == 1
+    assert not has_simple_roots(double)
+    assert count_positive_roots(_from_factors([1, -2], [1, -2], [1, -5])) == 2
+    assert has_simple_roots(_from_factors([1, -2], [1, 1]))
+
+
+def test_root_count_separates_roots_closer_than_any_grid_cell():
+    # roots 1000.001 and 1000.002; the 1,024-cell scan over (0, 2(1 + max|c|)]
+    # had cells of about 2e9
+    close = _from_factors([1000, -1000001], [1000, -1000002])
+    assert count_positive_roots(close) == 2
+    assert has_simple_roots(close)
+    # and a pair 1/(2 * 10^6) apart inside an irreducible quadratic:
+    # 10^12 w^2 - 2 * 10^12 w + (10^12 - 1) has roots 1 +- 10^-6
+    assert count_positive_roots(_from_factors([10**12, -2 * 10**12, 10**12 - 1])) == 2
+
+
+def test_root_count_ignores_nonpositive_roots():
+    assert count_positive_roots(_from_factors([1, 1], [1, 0, 1])) == 0
+    assert count_positive_roots(_from_factors([1, 1], [1, 2], [1, 3])) == 0
+    assert count_positive_roots(_from_factors([1, 0], [1, -3])) == 1  # w = 0 is no root
+    assert count_positive_roots(_from_factors([7])) == 0
+    with pytest.raises(ValueError):
+        count_positive_roots(FPolynomial(((2, 0), (0, 0))))
+
+
+def test_f_has_only_simple_roots():
+    for ell in range(1, 9):
+        for k in range(1, 9):
+            assert has_simple_roots(build_f(ell, k)), (ell, k)

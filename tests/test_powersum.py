@@ -98,8 +98,24 @@ def test_closed_raises_on_corrupt_bernoulli(monkeypatch):
     bad = KNOWN_BERNOULLI[:]
     bad[2] += Fraction(1, 7)
     monkeypatch.setattr(ps, "bernoulli_numbers", lambda n: bad[: n + 1])
-    with pytest.raises(RuntimeError):
+    # an empty memo makes the closed form rebuild its coefficients from the
+    # corrupted table instead of reusing ones built from the true numbers
+    monkeypatch.setattr(ps, "_FAULHABER", {})
+    with pytest.raises(RuntimeError, match="not integral"):
         powersum_closed(5, 2)
+
+
+def test_closed_raises_on_corrupt_memo(monkeypatch):
+    monkeypatch.setattr(ps, "_FAULHABER", {})
+    assert powersum_closed(7, 5) == powersum_direct(7, 5)
+    denom, coeffs = ps._FAULHABER[5]
+    assert denom == 12  # S_5(k) = (2k^6 + 6k^5 + 5k^4 - k^2) / 12
+    # one more in the coefficient of k: the numerator grows by k, which
+    # D_5 does not divide at these k
+    ps._FAULHABER[5] = (denom, coeffs[:-1] + (coeffs[-1] + 1,))
+    for k in (1, 2, 7, 100):
+        with pytest.raises(RuntimeError, match="not integral"):
+            powersum_closed(k, 5)
 
 
 def test_batch_matches_direct():
@@ -113,11 +129,25 @@ def test_batch_matches_direct():
             assert value == powersum_direct(k, m)
 
 
+def test_batch_advances_from_a_previous_batch():
+    rng = random.Random(106)
+    for _ in range(40):
+        k = rng.randint(1, 200)
+        k0 = rng.randint(0, k)
+        m_max = rng.randint(0, 45)
+        base = powersum_batch(k0, m_max) if k0 else dict.fromkeys(range(1, m_max + 1, 2), 0)
+        assert powersum_batch(k, m_max, start=(k0, base)) == powersum_batch(k, m_max), (k0, k)
+
+
 def test_batch_validation():
     with pytest.raises(ValueError):
         powersum_batch(0, 5)
     with pytest.raises(ValueError):
         powersum_batch(3, -1)
+    with pytest.raises(ValueError):
+        powersum_batch(3, 5, start=(4, powersum_batch(4, 5)))
+    with pytest.raises(ValueError):
+        powersum_batch(3, 5, start=(-1, {}))
 
 
 def test_strictly_increasing_in_k_and_m():
