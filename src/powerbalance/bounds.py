@@ -13,7 +13,10 @@ each ell.  The integer list needs none of that tightening: writing
 ell - 3 = 12q + r with 0 <= r <= 11 gives a = q + r/12 + 1/(6*ell) with a
 fractional part below 1, so floor(ell*K + a) is already ell*K + q.  For
 ell in (1, 2), a = b = 0 and the window is the single point ell*K.
-Everything here is Fraction arithmetic; no rounding anywhere.
+Windows are exact integers over per-ell denominators: a = na/da and
+b = nb/db are reduced once per ell, and each end of a window is one integer
+numerator over its denominator, returned as a reduced Fraction.  No
+rounding anywhere.
 
 check_sandwich confirms the window lemma for one (ell, k) from two exact
 signs: f has a single positive root because its coefficients change sign
@@ -22,9 +25,18 @@ nonpositive at the lower end and nonnegative at the upper end.
 """
 
 from fractions import Fraction
-from math import ceil, floor
+from functools import lru_cache
+from math import ceil, floor, lcm
 
 from .equation import build_f, eval_f, sign_changes
+
+
+@lru_cache(maxsize=16)
+def _window_constants(ell: int) -> tuple[int, int, int, int]:
+    """(na, da, nb, db) with a = na/da and b = nb/db in lowest terms."""
+    a = Fraction((ell - 1) * (ell - 2), 12 * ell)
+    b = 2 * a * a / ell
+    return a.numerator, a.denominator, b.numerator, b.denominator
 
 
 def compute_bounds(ell: int, k: int) -> tuple[Fraction, Fraction]:
@@ -34,10 +46,12 @@ def compute_bounds(ell: int, k: int) -> tuple[Fraction, Fraction]:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     K = k * (k + 1)
-    a = Fraction((ell - 1) * (ell - 2), 12 * ell)
-    b = Fraction((ell - 1) ** 2 * (ell - 2) ** 2, 72 * ell**3)
-    upper = ell * K + a
-    return upper - b / K, upper
+    na, da, nb, db = _window_constants(ell)
+    top = ell * K * da + na
+    # lower = top/da - nb/(db*K), over the least common denominator D
+    dbK = db * K
+    D = lcm(da, dbK)
+    return Fraction(top * (D // da) - nb * (D // dbK), D), Fraction(top, da)
 
 
 def corollary_K_bound(ell: int) -> Fraction:

@@ -175,11 +175,12 @@ def decide(ell: int, mode: str = FAST) -> Certificate:
         return _family_certificate(ell, mode, t0)
 
     sharp = corollary_K_bound(ell)
+    cap_num, cap_den = sharp.numerator, sharp.denominator
     records = []
     solutions = []
     batch = None
     k = 1
-    while k * (k + 1) <= sharp:
+    while k * (k + 1) * cap_den <= cap_num:
         window = compute_bounds(ell, k)
         ws = integers_in_window(window)
         poly = None
@@ -239,14 +240,22 @@ def _consistency_scan_beyond_bound(ell: int, k_start: int, sharp: Fraction) -> N
     The sharp bound is derived, not assumed: windows for larger k may still
     contain integers, but none may be a root.  Scanning up to the weaker
     (ell-2)^2/12 bound confirms the derivation did not discard a solution.
+
+    With A = (ell-1)(ell-2) and j = floor((ell-3)/12), window k holds an
+    integer iff a - b/K <= j, i.e. iff 6 ell^2 K (A - 12 ell j) <= A^2, so
+    emptiness takes one integer inequality and only a nonempty window is
+    built and evaluated.
     """
     weak = weak_K_bound(ell)
+    weak_num, weak_den = weak.numerator, weak.denominator
+    A = (ell - 1) * (ell - 2)
+    gap = 6 * ell**2 * (A - 12 * ell * ((ell - 3) // 12))
+    A2 = A * A
     k = k_start
-    while k * (k + 1) <= weak:
-        ws = integers_in_window(compute_bounds(ell, k))
-        if ws:
+    while k * (k + 1) * weak_den <= weak_num:
+        if gap * k * (k + 1) <= A2:
             poly = build_f(ell, k)
-            for w in ws:
+            for w in integers_in_window(compute_bounds(ell, k)):
                 if eval_f(poly, w) == 0:
                     raise RuntimeError(
                         f"K-bound consistency violated: root at ell={ell}, "
@@ -281,12 +290,6 @@ def sweep(ell_min: int, ell_max: int, mode: str = FAST, workers: int = 1):
         yield from pool.map(task, ells, chunksize=chunk)
 
 
-def _fraction_str(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
 def certificate_to_dict(cert: Certificate, include_timing: bool = True) -> dict:
     """Plain-dict form of a certificate; exact values become strings."""
     out = {
@@ -298,7 +301,7 @@ def certificate_to_dict(cert: Certificate, include_timing: bool = True) -> dict:
         "candidates": [
             {
                 "k": str(rec.k),
-                "window": [_fraction_str(rec.window[0]), _fraction_str(rec.window[1])],
+                "window": [str(rec.window[0]), str(rec.window[1])],
                 "ws": [
                     {
                         "w": str(ev.w),

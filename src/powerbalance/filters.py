@@ -16,14 +16,16 @@ check_modular_collapse is different in kind: it replays, on one concrete
 candidate, the 2-adic congruence argument that rules out solutions for
 ell >= 5.  There PASS means "the contradiction is witnessed on this
 candidate" and FAIL would mean the argument's valuation bookkeeping broke
-down -- a bug flag, not an exclusion verdict.  The replay takes nu_2 of each
-binomial coefficient from Kummer's theorem and nu_2 of each power sum from
-its lowest set bit, so it never forms C(ell, m).
+down -- a bug flag, not an exclusion verdict.  The replay is a flat integer
+loop over odd m: nu_2 of each binomial coefficient comes from Kummer's
+theorem (popcount(m) + popcount(ell-m) - popcount(ell)) and nu_2 of each
+power sum from its lowest set bit, inline, with the part that depends only
+on ell and g added once.  It never forms C(ell, m).
 """
 
 from dataclasses import dataclass
 
-from .arith import FACTOR_LIMIT, nu, nu2_binomial, odd_prime_factors, rad
+from .arith import FACTOR_LIMIT, nu, odd_prime_factors, rad
 from .powersum import powersum_batch
 
 PASS = "PASS"
@@ -132,19 +134,25 @@ def check_modular_collapse(
     shift = 1 if even else 0  # even case works with the w-divided equation
     top_m = ell - 1 if even else ell
 
-    def term_val(m):
-        # nu_2 of 2 * C(ell, m) * w^(ell-m-shift) * S_m(k)
-        return 1 + nu2_binomial(ell, m) + (ell - m - shift) * g + nu(2, sums[m])
+    # nu_2 of each term 2 * C(ell, m) * w^(ell-m-shift) * S_m(k), from Kummer's
+    # theorem for the binomial and the lowest set bit of the power sum; the
+    # part common to every m is added once
+    base = 1 - ell.bit_count() + (ell - shift) * g
+    term_val = {
+        m: base + m.bit_count() + (ell - m).bit_count() - m * g + (s & -s).bit_length() - 1
+        for m in range(1, top_m + 1, 2)
+        for s in (sums[m],)
+    }
 
     name = "modular_collapse"
     for m in range(3, top_m, 2):
-        v = term_val(m)
+        v = term_val[m]
         if v < s_exp:
             return FilterReport(
                 name, FAIL, f"middle term m = {m} has nu_2 = {v} < nu_2(s) = {s_exp}"
             )
     m1_expected = e + (ell - 2) * g + f if even else (ell - 1) * g + f
-    m1 = term_val(1)
+    m1 = term_val[1]
     if m1 != m1_expected:
         return FilterReport(
             name, FAIL, f"m = 1 term has nu_2 = {m1},  expected exactly {m1_expected}"
@@ -154,7 +162,7 @@ def check_modular_collapse(
             name, FAIL, f"m = 1 term has nu_2 = {m1} < nu_2(s) = {s_exp}, no collapse"
         )
     top_expected = (e if even else 0) + 2 * f - 1
-    top = term_val(top_m)
+    top = term_val[top_m]
     if top != top_expected:
         return FilterReport(
             name, FAIL, f"last term has nu_2 = {top}, expected exactly {top_expected}"

@@ -2,8 +2,9 @@
 
 The two full-range sweeps (exponents 3..1000, fast and paranoid) dominate
 the runtime; they are computed once in module-scoped fixtures and shared.
-On a 2-core host with Python 3.11 the paranoid sweep takes about 235 s and
-the fast one about 4 s, of a Tier-1 run of about 257 s.
+On a 2-core host with Python 3.11 the paranoid sweep takes 235-265 s and
+the fast one about 3 s, of a Tier-1 run of 257-311 s (the spread is the
+host's load).
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete.
 """

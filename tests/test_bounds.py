@@ -71,6 +71,25 @@ def test_integer_window_examples():
     assert integers_in_window(compute_bounds(2, 2)) == [12]
 
 
+def test_window_matches_defining_formula():
+    # ell*K + a - b/K and ell*K + a over the common denominator 72 ell^3 K,
+    # for every k up to two past the sharp cap
+    for ell in range(1, 3001):
+        A = (ell - 1) * (ell - 2)
+        L = 72 * ell**3
+        k = 1
+        while 12 * ell**2 * (k - 2) * (k - 1) <= A * A:
+            K = k * (k + 1)
+            lower = Fraction(L * K * ell * K + 6 * ell**2 * A * K - A * A, L * K)
+            upper = Fraction(12 * ell**2 * K + A, 12 * ell)
+            assert compute_bounds(ell, k) == (lower, upper), (ell, k)
+            k += 1
+    with pytest.raises(ValueError):
+        compute_bounds(0, 1)
+    with pytest.raises(ValueError):
+        compute_bounds(3, 0)
+
+
 def test_window_floor_needs_no_tightening():
     # floor(ell*K + a) == ell*K + floor((ell-3)/12): the integer tightening
     # behind the K bound removes no integer from any window

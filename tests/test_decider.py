@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+import random
 
 import pytest
 
 import powerbalance
 from powerbalance import decider
+from powerbalance.bounds import compute_bounds, corollary_K_bound, integers_in_window
 from powerbalance.decider import (
     EXCLUDED_BY_EVALUATION,
     EXCLUDED_BY_FILTER,
@@ -36,6 +38,42 @@ def test_decide_eight_has_one_empty_window():
     assert len(cert.candidates) == 1
     rec = cert.candidates[0]
     assert rec.k == 1 and rec.integer_candidates == ()
+
+
+def test_candidate_k_are_exactly_those_under_the_sharp_cap():
+    # k runs from 1 to the largest k with 12 ell^2 k(k+1) <= (ell-1)^2 (ell-2)^2
+    ells = {3, 4, 5, 14, 15, 27, 2999, 3000, *random.Random(11).sample(range(3, 3001), 40)}
+    for ell in sorted(ells):
+        A2 = ((ell - 1) * (ell - 2)) ** 2
+        k_max = 0
+        while 12 * ell**2 * (k_max + 1) * (k_max + 2) <= A2:
+            k_max += 1
+        cert = decide(ell)
+        assert [rec.k for rec in cert.candidates] == list(range(1, k_max + 1)), ell
+
+
+def test_scan_beyond_the_cap_builds_f_for_exactly_the_nonempty_windows(monkeypatch):
+    # started at k = 1, the scan's integer inequality must pick out the same
+    # windows as listing their integers, for every k up to the weak cap
+    built = []
+    monkeypatch.setattr(decider, "build_f", lambda ell, k: built.append(k))
+    monkeypatch.setattr(decider, "eval_f", lambda poly, w: 1)
+    for ell in range(3, 3001):
+        built.clear()
+        decider._consistency_scan_beyond_bound(ell, 1, corollary_K_bound(ell))
+        nonempty = []
+        k = 1
+        while 12 * k * (k + 1) <= (ell - 2) ** 2:
+            if integers_in_window(compute_bounds(ell, k)):
+                nonempty.append(k)
+            k += 1
+        assert built == nonempty, ell
+
+
+def test_scan_beyond_the_cap_raises_on_a_root(monkeypatch):
+    monkeypatch.setattr(decider, "eval_f", lambda poly, w: 0)
+    with pytest.raises(RuntimeError, match="K-bound consistency violated"):
+        decider._consistency_scan_beyond_bound(27, 1, corollary_K_bound(27))
 
 
 def test_decide_two_reports_family():

@@ -2,18 +2,22 @@
 
 import pytest
 
+import powerbalance.decider as decider
+from powerbalance.arith import nu, nu2_binomial
 from powerbalance.bounds import compute_bounds, integers_in_window
 from powerbalance.equation import build_f, eval_f
 from powerbalance.filters import (
     FAIL,
     INCONCLUSIVE,
     PASS,
+    FilterReport,
     check_modular_collapse,
     filter_3f_plus_3,
     filter_g_ge_e_plus_1,
     filter_radical,
     filter_w_plus_1_primes,
 )
+from powerbalance.powersum import powersum_batch
 
 
 def test_radical_filter():
@@ -95,3 +99,84 @@ def test_center_valuation_failures_are_never_roots():
             continue
         if filter_g_ge_e_plus_1(ell, w).outcome == FAIL:
             assert eval_f(build_f(ell, k), w) != 0, (ell, k, w)
+
+
+def _reference_collapse(ell, k, w, sums):
+    """The replay with one nu2_binomial and one nu call per odd m."""
+    even = ell % 2 == 0
+    e = nu(2, ell)
+    f = nu(2, k * (k + 1))
+    g = nu(2, w)
+    s_exp = (2 * f - 1) + 2 * g + (e if even else 0)
+    shift = 1 if even else 0
+    top_m = ell - 1 if even else ell
+
+    def term_val(m):
+        return 1 + nu2_binomial(ell, m) + (ell - m - shift) * g + nu(2, sums[m])
+
+    name = "modular_collapse"
+    for m in range(3, top_m, 2):
+        v = term_val(m)
+        if v < s_exp:
+            return FilterReport(
+                name, FAIL, f"middle term m = {m} has nu_2 = {v} < nu_2(s) = {s_exp}"
+            )
+    m1_expected = e + (ell - 2) * g + f if even else (ell - 1) * g + f
+    m1 = term_val(1)
+    if m1 != m1_expected:
+        return FilterReport(
+            name, FAIL, f"m = 1 term has nu_2 = {m1},  expected exactly {m1_expected}"
+        )
+    if m1 < s_exp:
+        return FilterReport(
+            name, FAIL, f"m = 1 term has nu_2 = {m1} < nu_2(s) = {s_exp}, no collapse"
+        )
+    top_expected = (e if even else 0) + 2 * f - 1
+    top = term_val(top_m)
+    if top != top_expected:
+        return FilterReport(
+            name, FAIL, f"last term has nu_2 = {top}, expected exactly {top_expected}"
+        )
+    lhs = (ell - 1) * g if even else ell * g
+    if lhs == top_expected:
+        return FilterReport(
+            name,
+            FAIL,
+            f"forced equality holds: nu_2(top power) = {lhs} = {top_expected}; no contradiction",
+        )
+    return FilterReport(
+        name,
+        PASS,
+        f"contradiction witnessed: nu_2(top power) = {lhs} != {top_expected} "
+        f"with e = {e}, f = {f}, g = {g}",
+    )
+
+
+def test_collapse_matches_reference_on_every_sweep_replay(monkeypatch):
+    replays = []
+    real = decider.check_modular_collapse
+
+    def compare(ell, k, w, precomputed_sums=None):
+        report = real(ell, k, w, precomputed_sums=precomputed_sums)
+        assert report == _reference_collapse(ell, k, w, precomputed_sums), (ell, k, w)
+        replays.append(report.outcome)
+        return report
+
+    monkeypatch.setattr(decider, "check_modular_collapse", compare)
+    for _ in decider.sweep(3, 1000):
+        pass
+    assert len(replays) == 1249
+    assert set(replays) == {PASS}
+
+
+def test_collapse_flags_an_odd_middle_power_sum():
+    # k = 7, w = 14: f = nu_2(56) = 3 > g + 1 = 2, so an odd S_3 drops the
+    # m = 3 term below nu_2(s); every true S_m has nu_2 = 2f - 2 = 4
+    sums = powersum_batch(7, 7)
+    assert check_modular_collapse(7, 7, 14, precomputed_sums=sums).outcome == PASS
+    sums[3] = 1
+    report = check_modular_collapse(7, 7, 14, precomputed_sums=sums)
+    assert report == FilterReport(
+        "modular_collapse", FAIL, "middle term m = 3 has nu_2 = 5 < nu_2(s) = 7"
+    )
+    assert report == _reference_collapse(7, 7, 14, sums)
