@@ -1,4 +1,4 @@
-"""Exact arithmetic foundations: p-adic valuations, radicals, trial-division
+"""Exact arithmetic foundations: 2-adic valuations, radicals, trial-division
 factorization.
 
 Integers are plain Python ints (arbitrary precision); exact rationals are
@@ -6,53 +6,21 @@ Integers are plain Python ints (arbitrary precision); exact rationals are
 this package ever rounds.
 """
 
-from math import isqrt
-
-# Primality of the `p` argument of nu() is verified by trial division for
-# p below this bound; larger p are taken on faith from the caller.
-PRIMALITY_CHECK_BOUND = 10**6
+from math import isqrt, prod
 
 # Default trial-division cutoff for odd_prime_factors().
 FACTOR_LIMIT = 10**7
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test (desk scale only)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+def nu(x: int) -> int:
+    """Largest t such that 2**t divides x (the 2-adic valuation of x).
 
-
-def nu(p: int, x: int) -> int:
-    """Largest t such that p**t divides x (the p-adic valuation of x).
-
-    p must be prime (checked by trial division for p <= PRIMALITY_CHECK_BOUND)
-    and x nonzero: nu(p, 0) is undefined and raises.  For p = 2 the answer
-    is read off the lowest set bit of x, in one pass over its digits.
+    x must be nonzero: nu(0) is undefined and raises.  The answer is read
+    off the lowest set bit of x, in one pass over its digits.
     """
     if x == 0:
         raise ValueError("valuation of 0 is undefined")
-    if p == 2:
-        return (x & -x).bit_length() - 1
-    if p < 2:
-        raise ValueError(f"p must be a prime, got {p}")
-    if p <= PRIMALITY_CHECK_BOUND and not is_prime(p):
-        raise ValueError(f"p must be a prime, got composite {p}")
-    x = abs(x)
-    t = 0
-    while x % p == 0:
-        x //= p
-        t += 1
-    return t
+    return (x & -x).bit_length() - 1
 
 
 def nu2_binomial(n: int, m: int) -> int:
@@ -73,21 +41,8 @@ def rad(x: int) -> int:
     """
     if x <= 0:
         raise ValueError(f"rad is defined for positive integers, got {x}")
-    r = 1
-    if x % 2 == 0:
-        r = 2
-        while x % 2 == 0:
-            x //= 2
-    d = 3
-    while d * d <= x:
-        if x % d == 0:
-            r *= d
-            while x % d == 0:
-                x //= d
-        d += 2
-    if x > 1:
-        r *= x
-    return r
+    # with limit isqrt(x) the odd factorization is complete
+    return (2 - x % 2) * prod(p for p, _ in odd_prime_factors(x, isqrt(x))[0])
 
 
 def odd_prime_factors(x: int, limit: int = FACTOR_LIMIT) -> tuple[list[tuple[int, int]], int]:

@@ -66,7 +66,12 @@ class CandidateEvaluation:
     w: int
     filters: tuple[FilterReport, ...]
     f_sign: int | None
-    status: str
+
+    @property
+    def status(self) -> str:
+        if self.f_sign is None:
+            return EXCLUDED_BY_FILTER
+        return SOLUTION if self.f_sign == 0 else EXCLUDED_BY_EVALUATION
 
 
 @dataclass(frozen=True)
@@ -132,11 +137,11 @@ def _crosscheck_powersums(ell: int, k: int, sums: dict[int, int]) -> None:
     compared outright for the small exponents where it is affordable.
     """
     K = k * (k + 1)
-    f = nu(2, K)
+    f = nu(K)
     for m, s in sums.items():
         if s % (K // 2) != 0:
             raise RuntimeError(f"power-sum batch failed divisibility: k={k}, m={m}")
-        if m >= 3 and nu(2, 2 * s) != 2 * f - 1:
+        if m >= 3 and nu(2 * s) != 2 * f - 1:
             raise RuntimeError(f"power-sum batch failed 2-adic valuation: k={k}, m={m}")
         if m <= _CLOSED_CHECK_M_MAX and s != powersum_closed(k, m):
             raise RuntimeError(f"power-sum batch disagrees with closed form: k={k}, m={m}")
@@ -146,14 +151,14 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def _settle_sign(ell: int, k: int, w: int, excluded: bool) -> tuple[int, str]:
-    """Sign of f(k, w) and the candidate's fate, by direct summation.
+def _settle_sign(ell: int, k: int, w: int, excluded: bool) -> int:
+    """Sign of f(k, w), by direct summation.
 
     For w > 0, f(k, w) has the sign of LHS - RHS at n = w - k.
     """
     sign = _sign(balance_difference(w - k, k, ell))
     if sign != 0:
-        return sign, EXCLUDED_BY_EVALUATION
+        return sign
     if excluded:
         raise RuntimeError(
             f"filter soundness violated: ell={ell}, k={k}, w={w} was "
@@ -161,7 +166,7 @@ def _settle_sign(ell: int, k: int, w: int, excluded: bool) -> tuple[int, str]:
         )
     if w <= k:
         raise RuntimeError(f"root with nonpositive n: ell={ell}, k={k}, w={w}")
-    return sign, SOLUTION
+    return sign
 
 
 def decide(ell: int, mode: str = FAST) -> Certificate:
@@ -190,9 +195,9 @@ def decide(ell: int, mode: str = FAST) -> Certificate:
             reports = _run_filters(ell, k, w)
             excluded = any(r.failed for r in reports)
             if excluded and mode == FAST:
-                sign, status = None, EXCLUDED_BY_FILTER
+                sign = None
             else:
-                sign, status = _settle_sign(ell, k, w, excluded)
+                sign = _settle_sign(ell, k, w, excluded)
                 # Every k that gets here needs the batch: paranoid mode builds
                 # f from it, and a fast-mode candidate that passed every filter
                 # is even and radical-admissible with ell >= 6, so it gets the
@@ -215,9 +220,9 @@ def decide(ell: int, mode: str = FAST) -> Certificate:
                 # reports[0] is the radical filter, which the replay needs passed
                 if ell >= 5 and w % 2 == 0 and not reports[0].failed:
                     reports.append(check_modular_collapse(ell, k, w, precomputed_sums=sums))
-            if status == SOLUTION:
+            if sign == 0:
                 solutions.append((w - k, k))
-            evaluations.append(CandidateEvaluation(w, tuple(reports), sign, status))
+            evaluations.append(CandidateEvaluation(w, tuple(reports), sign))
         records.append(CandidateRecord(k, window, tuple(ws), tuple(evaluations)))
         k += 1
 
@@ -235,32 +240,22 @@ def decide(ell: int, mode: str = FAST) -> Certificate:
 
 
 def _consistency_scan_beyond_bound(ell: int, k_start: int, sharp: Fraction) -> None:
-    """Evaluate window integers for k past the sharp K bound (paranoid only).
+    """Check that no window past the sharp K bound holds an integer (paranoid only).
 
-    The sharp bound is derived, not assumed: windows for larger k may still
-    contain integers, but none may be a root.  Scanning up to the weaker
-    (ell-2)^2/12 bound confirms the derivation did not discard a solution.
-
-    With A = (ell-1)(ell-2) and j = floor((ell-3)/12), window k holds an
-    integer iff a - b/K <= j, i.e. iff 6 ell^2 K (A - 12 ell j) <= A^2, so
-    emptiness takes one integer inequality and only a nonempty window is
-    built and evaluated.
+    The sharp bound is derived, not assumed: scanning every k up to the
+    weaker (ell-2)^2/12 bound and listing each window's integers confirms
+    the derivation did not discard a candidate, let alone a solution.
     """
     weak = weak_K_bound(ell)
     weak_num, weak_den = weak.numerator, weak.denominator
-    A = (ell - 1) * (ell - 2)
-    gap = 6 * ell**2 * (A - 12 * ell * ((ell - 3) // 12))
-    A2 = A * A
     k = k_start
     while k * (k + 1) * weak_den <= weak_num:
-        if gap * k * (k + 1) <= A2:
-            poly = build_f(ell, k)
-            for w in integers_in_window(compute_bounds(ell, k)):
-                if eval_f(poly, w) == 0:
-                    raise RuntimeError(
-                        f"K-bound consistency violated: root at ell={ell}, "
-                        f"k={k}, w={w} beyond the sharp bound {sharp}"
-                    )
+        ws = integers_in_window(compute_bounds(ell, k))
+        if ws:
+            raise RuntimeError(
+                f"K-bound consistency violated: window k={k} holds {ws} "
+                f"at ell={ell}, beyond the sharp bound {sharp}"
+            )
         k += 1
 
 
@@ -279,6 +274,8 @@ def sweep(ell_min: int, ell_max: int, mode: str = FAST, workers: int = 1):
     """
     if not 1 <= ell_min <= ell_max:
         raise ValueError(f"need 1 <= ell_min <= ell_max, got {ell_min}..{ell_max}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     ells = range(ell_min, ell_max + 1)
     task = partial(decide, mode=mode)
     workers = _pool_size(workers, len(ells))

@@ -25,7 +25,7 @@ on ell and g added once.  It never forms C(ell, m).
 
 from dataclasses import dataclass
 
-from .arith import FACTOR_LIMIT, nu, odd_prime_factors, rad
+from .arith import nu, odd_prime_factors, rad
 from .powersum import powersum_batch
 
 PASS = "PASS"
@@ -54,14 +54,14 @@ def filter_radical(k: int, w: int) -> FilterReport:
 
 def filter_g_ge_e_plus_1(ell: int, w: int) -> FilterReport:
     """nu_2(w) must exceed nu_2(ell): g >= e + 1."""
-    e = nu(2, ell)
-    g = nu(2, w)
+    e = nu(ell)
+    g = nu(w)
     if g < e + 1:
         return FilterReport("g_ge_e_plus_1", FAIL, f"g = {g} < e + 1 = {e + 1}")
     return FilterReport("g_ge_e_plus_1", PASS, f"g = {g} >= e + 1 = {e + 1}")
 
 
-def filter_w_plus_1_primes(ell: int, w: int, factor_limit: int = FACTOR_LIMIT) -> FilterReport:
+def filter_w_plus_1_primes(ell: int, w: int) -> FilterReport:
     """Every odd prime p dividing w+1 must satisfy p == 1 (mod 2^(e+1)).
 
     Only meaningful for even ell >= 4 (e >= 1); for odd ell the condition
@@ -73,8 +73,8 @@ def filter_w_plus_1_primes(ell: int, w: int, factor_limit: int = FACTOR_LIMIT) -
         raise ValueError(f"this filter applies to even ell >= 4, got {ell}")
     if w < 1:
         raise ValueError(f"w must be >= 1, got {w}")
-    modulus = 2 ** (nu(2, ell) + 1)
-    factors, remainder = odd_prime_factors(w + 1, factor_limit)
+    modulus = 2 ** (nu(ell) + 1)
+    factors, remainder = odd_prime_factors(w + 1)
     for p, _ in factors:
         if p % modulus != 1:
             return FilterReport(
@@ -93,7 +93,7 @@ def filter_3f_plus_3(ell: int, k: int) -> FilterReport:
     """Solutions require 3*f + 3 <= ell; with f >= 1 this kills ell <= 5."""
     if ell < 3:
         raise ValueError(f"this filter applies for ell >= 3, got {ell}")
-    f = nu(2, k * (k + 1))
+    f = nu(k * (k + 1))
     if 3 * f + 3 > ell:
         return FilterReport("3f_plus_3", FAIL, f"3f + 3 = {3 * f + 3} > ell = {ell}")
     return FilterReport("3f_plus_3", PASS, f"3f + 3 = {3 * f + 3} <= ell = {ell}")
@@ -126,9 +126,9 @@ def check_modular_collapse(
     if filter_radical(k, w).failed:
         raise ValueError(f"rad(k(k+1)) must divide w, got k = {k}, w = {w}")
     even = ell % 2 == 0
-    e = nu(2, ell)
-    f = nu(2, k * (k + 1))
-    g = nu(2, w)
+    e = nu(ell)
+    f = nu(k * (k + 1))
+    g = nu(w)
     s_exp = (2 * f - 1) + 2 * g + (e if even else 0)
     sums = precomputed_sums if precomputed_sums is not None else powersum_batch(k, ell)
     shift = 1 if even else 0  # even case works with the w-divided equation

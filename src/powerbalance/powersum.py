@@ -31,22 +31,13 @@ def _check_k_m(k: int, m: int) -> None:
         raise ValueError(f"m must be >= 0, got {m}")
 
 
-# Grow-only Bernoulli cache (B1 = +1/2 convention).  Readers take a local
-# reference; writers publish a fresh, longer list by rebinding the global,
-# which is atomic in CPython.  A racing duplicate computation is harmless.
-_BERNOULLI: list[Fraction] = [Fraction(1), Fraction(1, 2)]
-
-
 def bernoulli_numbers(n: int) -> list[Fraction]:
-    """Bernoulli numbers B_0 .. B_n (B_1 = +1/2), memoized.
+    """Bernoulli numbers B_0 .. B_n (B_1 = +1/2).
 
     Computed by the Akiyama-Tanigawa recurrence over exact rationals; one
-    O(n^2) pass yields the whole prefix.
+    O(n^2) pass yields the whole prefix.  Not memoized: its caller
+    _faulhaber keeps what it derives.
     """
-    global _BERNOULLI
-    table = _BERNOULLI
-    if n < len(table):
-        return table[: n + 1]
     row: list[Fraction] = []
     fresh = []
     for m in range(n + 1):
@@ -54,8 +45,7 @@ def bernoulli_numbers(n: int) -> list[Fraction]:
         for j in range(m, 0, -1):
             row[j - 1] = j * (row[j - 1] - row[j])
         fresh.append(row[0])
-    _BERNOULLI = fresh
-    return fresh[: n + 1]
+    return fresh
 
 
 def powersum_direct(k: int, m: int) -> int:
@@ -147,4 +137,4 @@ def check_macmillan_sondow(k: int, m: int) -> bool:
     if m < 3 or m % 2 == 0:
         raise ValueError(f"m must be odd and >= 3, got {m}")
     s = powersum_direct(k, m)
-    return nu(2, 2 * s) == 2 * nu(2, k * (k + 1)) - 1
+    return nu(2 * s) == 2 * nu(k * (k + 1)) - 1

@@ -2,13 +2,13 @@
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from powerbalance.arith import is_prime, nu, nu2_binomial, odd_prime_factors, rad
+from powerbalance.arith import nu, nu2_binomial, odd_prime_factors, rad
 
 
 def _valuation_by_division(p, x):
@@ -35,36 +35,31 @@ def _factor_by_trial_division(x):
 
 
 def test_nu_examples():
-    assert nu(2, 40) == 3  # 40 = 2^3 * 5
+    assert nu(40) == 3  # 40 = 2^3 * 5
     assert _valuation_by_division(2, 12) == 2
-    assert nu(2, 12) == 2
-    assert nu(3, 7) == 0
+    assert nu(12) == 2
+    assert nu(7) == 0
+    assert nu(-24) == 3
 
 
-def test_nu_rejects_zero_and_nonprime():
+def test_nu_rejects_zero():
     with pytest.raises(ValueError):
-        nu(2, 0)
-    with pytest.raises(ValueError):
-        nu(4, 8)
-    with pytest.raises(ValueError):
-        nu(1, 8)
+        nu(0)
 
 
 def test_nu_matches_division_oracle():
     rng = random.Random(101)
     for _ in range(300):
-        p = rng.choice([2, 3, 5, 7, 13])
         x = rng.randint(1, 10**9)
-        assert nu(p, x) == _valuation_by_division(p, x)
+        assert nu(x) == _valuation_by_division(2, x)
 
 
 def test_nu_is_additive_on_products():
     rng = random.Random(102)
     for _ in range(300):
-        p = rng.choice([2, 3, 5])
         x = rng.randint(1, 10**6)
         y = rng.randint(1, 10**6)
-        assert nu(p, x * y) == nu(p, x) + nu(p, y)
+        assert nu(x * y) == nu(x) + nu(y)
 
 
 @given(
@@ -74,13 +69,13 @@ def test_nu_is_additive_on_products():
 def test_nu_two_matches_division_loop(odd, t):
     # every nonzero int, negative ones included, is odd * 2^t
     x = odd << t
-    assert nu(2, x) == t == _valuation_by_division(2, x)
+    assert nu(x) == t == _valuation_by_division(2, x)
 
 
 def test_kummer_matches_binomial_valuation():
     for n in range(301):
         for m in range(n + 1):
-            assert nu2_binomial(n, m) == nu(2, comb(n, m)), (n, m)
+            assert nu2_binomial(n, m) == nu(comb(n, m)), (n, m)
     with pytest.raises(ValueError):
         nu2_binomial(3, 4)
     with pytest.raises(ValueError):
@@ -108,6 +103,11 @@ def test_rad_divides_and_is_squarefree():
         assert all(m == 1 for m in _factor_by_trial_division(r).values())
 
 
+def test_rad_is_the_product_of_the_distinct_primes():
+    for x in range(1, 20001):
+        assert rad(x) == prod(_factor_by_trial_division(x)), x
+
+
 def test_odd_prime_factors_examples():
     assert odd_prime_factors(17, 10**6) == ([(17, 1)], 1)
     assert odd_prime_factors(45, 10**6) == ([(3, 2), (5, 1)], 1)
@@ -122,7 +122,7 @@ def test_odd_prime_factors_strips_twos_and_reconstructs():
         assert remainder == 1
         rebuilt = remainder
         for p, mult in factors:
-            assert p % 2 == 1 and is_prime(p)
+            assert p % 2 == 1 and _factor_by_trial_division(p) == {p: 1}
             rebuilt *= p**mult
         assert rebuilt * 2 ** _valuation_by_division(2, x) == x
 

@@ -8,7 +8,7 @@ import pytest
 
 import powerbalance
 from powerbalance import decider
-from powerbalance.bounds import compute_bounds, corollary_K_bound, integers_in_window
+from powerbalance.bounds import corollary_K_bound
 from powerbalance.decider import (
     EXCLUDED_BY_EVALUATION,
     EXCLUDED_BY_FILTER,
@@ -52,26 +52,19 @@ def test_candidate_k_are_exactly_those_under_the_sharp_cap():
         assert [rec.k for rec in cert.candidates] == list(range(1, k_max + 1)), ell
 
 
-def test_scan_beyond_the_cap_builds_f_for_exactly_the_nonempty_windows(monkeypatch):
-    # started at k = 1, the scan's integer inequality must pick out the same
-    # windows as listing their integers, for every k up to the weak cap
-    built = []
-    monkeypatch.setattr(decider, "build_f", lambda ell, k: built.append(k))
-    monkeypatch.setattr(decider, "eval_f", lambda poly, w: 1)
+def test_no_window_past_the_cap_is_nonempty():
+    # from the first k past the sharp cap up to the weak cap, every window
+    # is empty, so the paranoid scan passes for every ell
     for ell in range(3, 3001):
-        built.clear()
-        decider._consistency_scan_beyond_bound(ell, 1, corollary_K_bound(ell))
-        nonempty = []
+        cap = corollary_K_bound(ell)
         k = 1
-        while 12 * k * (k + 1) <= (ell - 2) ** 2:
-            if integers_in_window(compute_bounds(ell, k)):
-                nonempty.append(k)
+        while k * (k + 1) <= cap:
             k += 1
-        assert built == nonempty, ell
+        decider._consistency_scan_beyond_bound(ell, k, cap)
 
 
-def test_scan_beyond_the_cap_raises_on_a_root(monkeypatch):
-    monkeypatch.setattr(decider, "eval_f", lambda poly, w: 0)
+def test_scan_beyond_the_cap_raises_on_a_nonempty_window():
+    # started at k = 1, the scan meets the nonempty windows under the cap
     with pytest.raises(RuntimeError, match="K-bound consistency violated"):
         decider._consistency_scan_beyond_bound(27, 1, corollary_K_bound(27))
 
@@ -325,6 +318,12 @@ def test_sweep_of_one_exponent_starts_no_pool(monkeypatch):
 
     monkeypatch.setattr(decider, "ProcessPoolExecutor", forbidden)
     assert [c.verdict for c in sweep(5, 5, workers=5000)] == [NO_SOLUTION]
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_sweep_rejects_fewer_than_one_worker(workers):
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        list(sweep(3, 9, workers=workers))
 
 
 def test_verdicts_match_brute_force():

@@ -1,9 +1,12 @@
 """The 2-adic candidate filters and the collapse replay."""
 
+from functools import partial
+
 import pytest
 
 import powerbalance.decider as decider
-from powerbalance.arith import nu, nu2_binomial
+from powerbalance import filters
+from powerbalance.arith import nu, nu2_binomial, odd_prime_factors
 from powerbalance.bounds import compute_bounds, integers_in_window
 from powerbalance.equation import build_f, eval_f
 from powerbalance.filters import (
@@ -41,12 +44,13 @@ def test_w_plus_1_prime_filter():
         filter_w_plus_1_primes(5, 10)  # vacuous for odd ell
 
 
-def test_w_plus_1_prime_filter_inconclusive_routes_forward():
-    # 73 * 89 - 1: both primes are 1 mod 8 but exceed the tiny limit
-    report = filter_w_plus_1_primes(4, 73 * 89 - 1, factor_limit=50)
+def test_w_plus_1_prime_filter_inconclusive_routes_forward(monkeypatch):
+    # 73 * 89 - 1: both primes are 1 mod 8 but exceed a tiny limit
+    monkeypatch.setattr(filters, "odd_prime_factors", partial(odd_prime_factors, limit=50))
+    report = filter_w_plus_1_primes(4, 73 * 89 - 1)
     assert report.outcome == INCONCLUSIVE
     # a bad small factor still fails outright despite the unfactored tail
-    report = filter_w_plus_1_primes(4, 3 * 73 * 89 - 1, factor_limit=50)
+    report = filter_w_plus_1_primes(4, 3 * 73 * 89 - 1)
     assert report.outcome == FAIL
 
 
@@ -104,15 +108,15 @@ def test_center_valuation_failures_are_never_roots():
 def _reference_collapse(ell, k, w, sums):
     """The replay with one nu2_binomial and one nu call per odd m."""
     even = ell % 2 == 0
-    e = nu(2, ell)
-    f = nu(2, k * (k + 1))
-    g = nu(2, w)
+    e = nu(ell)
+    f = nu(k * (k + 1))
+    g = nu(w)
     s_exp = (2 * f - 1) + 2 * g + (e if even else 0)
     shift = 1 if even else 0
     top_m = ell - 1 if even else ell
 
     def term_val(m):
-        return 1 + nu2_binomial(ell, m) + (ell - m - shift) * g + nu(2, sums[m])
+        return 1 + nu2_binomial(ell, m) + (ell - m - shift) * g + nu(sums[m])
 
     name = "modular_collapse"
     for m in range(3, top_m, 2):

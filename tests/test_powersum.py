@@ -37,27 +37,6 @@ def test_bernoulli_prefix():
     assert bernoulli_numbers(12) == KNOWN_BERNOULLI
 
 
-def test_bernoulli_cache_grows_consistently():
-    small = bernoulli_numbers(10)
-    large = bernoulli_numbers(60)
-    assert large[:11] == small
-    assert bernoulli_numbers(60) == large
-
-
-def test_bernoulli_cache_concurrent_readers(monkeypatch):
-    # the cache is a grow-only table published by atomic rebinding; racing
-    # growers may duplicate work but every reader must see a coherent prefix
-    from concurrent.futures import ThreadPoolExecutor
-
-    monkeypatch.setattr(ps, "_BERNOULLI", [Fraction(1), Fraction(1, 2)])
-    sizes = [35, 50, 20, 65, 40, 72, 10, 58] * 4
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(bernoulli_numbers, sizes))
-    for n, got in zip(sizes, results):
-        assert got == KNOWN_BERNOULLI[: min(n, 12) + 1] + got[13:]
-        assert got == bernoulli_numbers(n)
-
-
 def test_query_validation():
     for fn in (powersum_direct, powersum_closed):
         with pytest.raises(ValueError):
