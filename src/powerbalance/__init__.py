@@ -22,7 +22,6 @@ from .bounds import (
 )
 from .decider import Certificate, certificate_json, decide, sweep
 from .equation import (
-    FPolynomial,
     build_f,
     eval_f,
     sign_changes,
@@ -49,7 +48,6 @@ from .powersum import (
 
 __all__ = [
     "Certificate",
-    "FPolynomial",
     "FilterReport",
     "bernoulli_numbers",
     "build_f",

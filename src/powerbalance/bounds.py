@@ -13,10 +13,13 @@ each ell.  The integer list needs none of that tightening: writing
 ell - 3 = 12q + r with 0 <= r <= 11 gives a = q + r/12 + 1/(6*ell) with a
 fractional part below 1, so floor(ell*K + a) is already ell*K + q.  For
 ell in (1, 2), a = b = 0 and the window is the single point ell*K.
-Windows are exact integers over per-ell denominators: a = na/da and
-b = nb/db are reduced once per ell, and each end of a window is one integer
-numerator over its denominator, returned as a reduced Fraction.  No
-rounding anywhere.
+With A = (ell-1)(ell-2), each end of a window is one integer numerator over
+one denominator, straight from the definitions of a and b:
+
+    upper = (12 ell^2 K + A) / (12 ell),
+    lower = (72 ell^4 K^2 + 6 ell^2 A K - A^2) / (72 ell^3 K),
+
+returned as a reduced Fraction.  No rounding anywhere.
 
 check_sandwich confirms the window lemma for one (ell, k) from two exact
 signs: f has a single positive root because its coefficients change sign
@@ -25,18 +28,9 @@ nonpositive at the lower end and nonnegative at the upper end.
 """
 
 from fractions import Fraction
-from functools import lru_cache
-from math import ceil, floor, lcm
+from math import ceil, floor
 
 from .equation import build_f, eval_f, sign_changes
-
-
-@lru_cache(maxsize=16)
-def _window_constants(ell: int) -> tuple[int, int, int, int]:
-    """(na, da, nb, db) with a = na/da and b = nb/db in lowest terms."""
-    a = Fraction((ell - 1) * (ell - 2), 12 * ell)
-    b = 2 * a * a / ell
-    return a.numerator, a.denominator, b.numerator, b.denominator
 
 
 def compute_bounds(ell: int, k: int) -> tuple[Fraction, Fraction]:
@@ -46,12 +40,12 @@ def compute_bounds(ell: int, k: int) -> tuple[Fraction, Fraction]:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     K = k * (k + 1)
-    na, da, nb, db = _window_constants(ell)
-    top = ell * K * da + na
-    # lower = top/da - nb/(db*K), over the least common denominator D
-    dbK = db * K
-    D = lcm(da, dbK)
-    return Fraction(top * (D // da) - nb * (D // dbK), D), Fraction(top, da)
+    A = (ell - 1) * (ell - 2)
+    ell2 = ell * ell
+    return (
+        Fraction(72 * ell2 * ell2 * K * K + 6 * ell2 * A * K - A * A, 72 * ell2 * ell * K),
+        Fraction(12 * ell2 * K + A, 12 * ell),
+    )
 
 
 def corollary_K_bound(ell: int) -> Fraction:

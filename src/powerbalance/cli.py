@@ -31,8 +31,6 @@ from .powersum import check_carlitz_von_staudt, check_macmillan_sondow
 
 SWEEP_CSV_COLUMNS = ["ell", "verdict", "num_candidate_k", "num_integer_candidates", "elapsed_ms"]
 
-LEMMA_NAMES = ["carlitz-von-staudt", "macmillan-sondow", "sandwich", "appendix", "modular-collapse"]
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -68,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=int, required=True)
 
     p = sub.add_parser("lemmas", help="run lemma checkers over ranges")
-    p.add_argument("--lemma", default="all", help="one of: " + ", ".join(LEMMA_NAMES) + ", all")
+    p.add_argument("--lemma", choices=[*_LEMMA_RUNNERS, "all"], default="all")
     p.add_argument("--k-max", type=int, default=100)
     p.add_argument("--m-max", type=int, default=39)
     p.add_argument("--ell-max", type=int, default=30)
@@ -90,10 +88,9 @@ def _cmd_decide(args, out) -> int:
         if cert.verdict == FAMILY:
             print(f"FAMILY w={cert.family['w']} (ell={cert.ell})", file=out)
         else:
-            n_k = sum(len(r.integer_candidates) for r in cert.candidates)
+            _, verdict, n_k, n_w, _ = _summary_row(cert)
             print(
-                f"{cert.verdict} (ell={cert.ell}, candidate k values: "
-                f"{len(cert.candidates)}, integer candidates: {n_k})",
+                f"{verdict} (ell={cert.ell}, candidate k values: {n_k}, integer candidates: {n_w})",
                 file=out,
             )
     else:
@@ -101,8 +98,7 @@ def _cmd_decide(args, out) -> int:
     return 0
 
 
-def _cmd_sweep(args, out) -> int:
-    stream = sweep(args.ell_min, args.ell_max, mode=args.mode, workers=args.workers)
+def _cmd_sweep(stream, args, out) -> int:
     if args.format == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(SWEEP_CSV_COLUMNS)
@@ -215,13 +211,8 @@ _LEMMA_RUNNERS = {
 }
 
 
-def _cmd_lemmas(args, out, parser) -> int:
-    if args.lemma == "all":
-        names = LEMMA_NAMES
-    elif args.lemma in _LEMMA_RUNNERS:
-        names = [args.lemma]
-    else:
-        parser.error(f"unknown lemma {args.lemma!r}; choose from {', '.join(LEMMA_NAMES)}, all")
+def _cmd_lemmas(args, out) -> int:
+    names = list(_LEMMA_RUNNERS) if args.lemma == "all" else [args.lemma]
     failed = False
     for name in names:
         counterexample = _LEMMA_RUNNERS[name](args)
@@ -235,25 +226,22 @@ def _cmd_lemmas(args, out, parser) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
     out = sys.stdout
     try:
+        args = parser.parse_args(argv)
         if args.command == "decide":
             if args.ell < 1:
                 parser.error(f"--ell must be >= 1, got {args.ell}")
             return _cmd_decide(args, out)
         if args.command == "sweep":
-            if not 1 <= args.ell_min <= args.ell_max:
-                parser.error(f"need 1 <= --ell-min <= --ell-max, got {args.ell_min}..{args.ell_max}")
-            if args.workers < 1:
-                parser.error("--workers must be >= 1")
+            try:
+                stream = sweep(args.ell_min, args.ell_max, mode=args.mode, workers=args.workers)
+            except ValueError as exc:
+                parser.error(str(exc))
             if args.out != "-":
                 with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                    return _cmd_sweep(args, fh)
-            return _cmd_sweep(args, out)
+                    return _cmd_sweep(stream, args, fh)
+            return _cmd_sweep(stream, args, out)
         if args.command == "verify":
             if args.n < 1 or args.k < 1 or args.ell < 1:
                 parser.error("--n, --k and --ell must all be >= 1")
@@ -261,15 +249,13 @@ def main(argv=None) -> int:
         if args.command == "lemmas":
             if args.k_max < 1 or args.m_max < 3 or args.ell_max < 3 or args.samples < 0:
                 parser.error("need --k-max >= 1, --m-max >= 3, --ell-max >= 3 and --samples >= 0")
-            return _cmd_lemmas(args, out, parser)
-        if args.command == "oracle":
-            if args.ell < 1 or args.n_max < 1 or args.k_max < 1:
-                parser.error("--ell, --n-max and --k-max must all be >= 1")
-            return _cmd_oracle(args, out)
-        parser.error(f"unknown command {args.command!r}")
+            return _cmd_lemmas(args, out)
+        # the subparsers are required, so the command is "oracle"
+        if args.ell < 1 or args.n_max < 1 or args.k_max < 1:
+            parser.error("--ell, --n-max and --k-max must all be >= 1")
+        return _cmd_oracle(args, out)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return 0
 
 
 def entrypoint() -> None:

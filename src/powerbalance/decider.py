@@ -265,12 +265,13 @@ def _pool_size(workers: int, tasks: int) -> int:
 
 
 def sweep(ell_min: int, ell_max: int, mode: str = FAST, workers: int = 1):
-    """Decide every ell in [ell_min, ell_max]; certificates in ell order.
+    """Decide every ell in [ell_min, ell_max]; an iterator of certificates in ell order.
 
-    Exponents are independent, so they may be farmed out to worker
-    processes, at most one per core and per exponent; results are collected
-    back in input order, making the output deterministic regardless of
-    worker count.
+    The range and the worker count are checked at the call, before any
+    exponent is decided.  Exponents are independent, so they may be farmed
+    out to worker processes, at most one per core and per exponent; results
+    are collected back in input order, making the output deterministic
+    regardless of worker count.
     """
     if not 1 <= ell_min <= ell_max:
         raise ValueError(f"need 1 <= ell_min <= ell_max, got {ell_min}..{ell_max}")
@@ -280,8 +281,11 @@ def sweep(ell_min: int, ell_max: int, mode: str = FAST, workers: int = 1):
     task = partial(decide, mode=mode)
     workers = _pool_size(workers, len(ells))
     if workers <= 1:
-        yield from map(task, ells)
-        return
+        return map(task, ells)
+    return _pool_map(task, ells, workers)
+
+
+def _pool_map(task, ells: range, workers: int):
     chunk = max(1, len(ells) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(task, ells, chunksize=chunk)

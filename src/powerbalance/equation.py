@@ -27,24 +27,15 @@ build_f and eval_f remain as the independent second route that paranoid
 mode, the root-counting oracle and the window lemmas use.
 """
 
-from dataclasses import dataclass
-
 from .powersum import powersum_batch
 
 
-@dataclass(frozen=True)
-class FPolynomial:
-    """f(k, w) as a sparse coefficient list, descending exponents.
+def build_f(ell: int, k: int, sums: dict[int, int] | None = None) -> tuple[tuple[int, int], ...]:
+    """The exact coefficients of f(k, w) for ell >= 1 and k >= 1.
 
-    Leading coefficient is +1; all the others are negative, so the sign
-    sequence changes exactly once.
-    """
-
-    coefficients: tuple[tuple[int, int], ...]
-
-
-def build_f(ell: int, k: int, sums: dict[int, int] | None = None) -> FPolynomial:
-    """Assemble the exact coefficients of f(k, w) for ell >= 1 and k >= 1.
+    f is returned as (exponent, coefficient) pairs by descending exponent.
+    The leading coefficient is +1 and all the others are negative, so the
+    sign sequence changes exactly once.
 
     sums, if given, must be powersum_batch(k, ell); passing a batch the
     caller already holds saves computing it again.  The odd binomials
@@ -63,14 +54,14 @@ def build_f(ell: int, k: int, sums: dict[int, int] | None = None) -> FPolynomial
     for m in range(1, ell + 1, 2):
         coeffs.append((ell - m - shift, -2 * binom * sums[m]))
         binom = binom * (ell - m) * (ell - m - 1) // ((m + 1) * (m + 2))
-    return FPolynomial(tuple(coeffs))
+    return tuple(coeffs)
 
 
-def eval_f(poly: FPolynomial, w):
+def eval_f(poly: tuple[tuple[int, int], ...], w):
     """Evaluate f at w, exactly.  int in, int out; Fraction in, Fraction out."""
     acc = 0
     prev_exp = None
-    for exp, c in poly.coefficients:
+    for exp, c in poly:
         if prev_exp is None:
             acc = c
         else:
@@ -98,9 +89,9 @@ def verify_instance(n: int, k: int, ell: int) -> bool:
     return balance_difference(n, k, ell) == 0
 
 
-def sign_changes(poly: FPolynomial) -> int:
+def sign_changes(poly: tuple[tuple[int, int], ...]) -> int:
     """Sign changes in the nonzero coefficients, by descending exponent."""
-    signs = [1 if c > 0 else -1 for _, c in poly.coefficients if c != 0]
+    signs = [1 if c > 0 else -1 for _, c in poly if c != 0]
     if not signs:
         raise ValueError("zero polynomial has no sign sequence")
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)

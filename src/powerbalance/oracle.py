@@ -18,8 +18,6 @@ the Descartes sign pattern the decision procedure relies on.
 
 from math import gcd
 
-from .equation import FPolynomial
-
 
 def oracle_search(ell: int, n_max: int, k_max: int) -> list[tuple[int, int]]:
     """All (n, k) with n <= n_max, k <= k_max solving the equation, ascending.
@@ -47,9 +45,9 @@ def oracle_search(ell: int, n_max: int, k_max: int) -> list[tuple[int, int]]:
     return sorted(found)
 
 
-def _dense(poly: FPolynomial) -> list[int]:
+def _dense(poly: tuple[tuple[int, int], ...]) -> list[int]:
     """Coefficients of poly by descending power, zeros filled in."""
-    terms = [(exp, c) for exp, c in poly.coefficients if c]
+    terms = [(exp, c) for exp, c in poly if c]
     if not terms:
         raise ValueError("the zero polynomial has no finite root count")
     degree = max(exp for exp, _ in terms)
@@ -84,7 +82,7 @@ def _positive_remainder(a: list[int], b: list[int]) -> list[int]:
     return r
 
 
-def _sturm_chain(poly: FPolynomial) -> list[list[int]]:
+def _sturm_chain(poly: tuple[tuple[int, int], ...]) -> list[list[int]]:
     """f, f', then each negated remainder, every member primitive; the last
     member is gcd(f, f') up to a constant factor."""
     chain = [_primitive(_dense(poly))]
@@ -105,7 +103,7 @@ def _variations(values: list[int]) -> int:
     return sum(1 for s, t in zip(values, values[1:]) if (s > 0) != (t > 0))
 
 
-def count_positive_roots(poly: FPolynomial) -> int:
+def count_positive_roots(poly: tuple[tuple[int, int], ...]) -> int:
     """Number of distinct positive real roots of f, exactly, by Sturm's theorem.
 
     Just right of 0 each chain member has the sign of its lowest nonzero
@@ -119,6 +117,6 @@ def count_positive_roots(poly: FPolynomial) -> int:
     return _variations(near_zero) - _variations(at_infinity)
 
 
-def has_simple_roots(poly: FPolynomial) -> bool:
+def has_simple_roots(poly: tuple[tuple[int, int], ...]) -> bool:
     """Is every complex root of f simple, i.e. is gcd(f, f') a constant?"""
     return len(_sturm_chain(poly)[-1]) == 1

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import floor
+from math import floor, isqrt
 
 import pytest
 
@@ -15,7 +15,6 @@ from powerbalance.bounds import (
     integers_in_window,
     weak_K_bound,
 )
-from powerbalance.equation import FPolynomial
 
 
 def _a_and_b(ell, k):
@@ -71,19 +70,37 @@ def test_integer_window_examples():
     assert integers_in_window(compute_bounds(2, 2)) == [12]
 
 
+def _assert_windows_are_defining_formula(ell, ks):
+    # a and b reduced from their definitions; each end compared with
+    # ell*K + a and ell*K + a - b/K by integer cross-multiplication
+    a = Fraction((ell - 1) * (ell - 2), 12 * ell)
+    b = 2 * a * a / ell
+    na, da, nb, db = a.numerator, a.denominator, b.numerator, b.denominator
+    for k in ks:
+        K = k * (k + 1)
+        lower, upper = compute_bounds(ell, k)
+        top = ell * K * da + na
+        assert upper.numerator * da == top * upper.denominator, (ell, k)
+        bottom = top * db * K - nb * da
+        assert lower.numerator * da * db * K == bottom * lower.denominator, (ell, k)
+
+
 def test_window_matches_defining_formula():
-    # ell*K + a - b/K and ell*K + a over the common denominator 72 ell^3 K,
-    # for every k up to two past the sharp cap
+    # every k up to two past the sharp cap
     for ell in range(1, 3001):
         A = (ell - 1) * (ell - 2)
-        L = 72 * ell**3
-        k = 1
-        while 12 * ell**2 * (k - 2) * (k - 1) <= A * A:
-            K = k * (k + 1)
-            lower = Fraction(L * K * ell * K + 6 * ell**2 * A * K - A * A, L * K)
-            upper = Fraction(12 * ell**2 * K + A, 12 * ell)
-            assert compute_bounds(ell, k) == (lower, upper), (ell, k)
-            k += 1
+        k_max = 1
+        while 12 * ell**2 * (k_max - 1) * k_max <= A * A:
+            k_max += 1
+        _assert_windows_are_defining_formula(ell, range(1, k_max + 1))
+    # large ell at k = 1, 2 and the last k under the sharp cap
+    for ell in (9999, 10000, 99999, 100000):
+        A = (ell - 1) * (ell - 2)
+        last = isqrt(A * A // (12 * ell**2))
+        while 12 * ell**2 * last * (last + 1) > A * A:
+            last -= 1
+        assert 12 * ell**2 * (last + 1) * (last + 2) > A * A
+        _assert_windows_are_defining_formula(ell, (1, 2, last))
     with pytest.raises(ValueError):
         compute_bounds(0, 1)
     with pytest.raises(ValueError):
@@ -159,13 +176,13 @@ def test_sandwich_rejects_a_shifted_window(monkeypatch, above):
 def test_sandwich_requires_single_sign_change(monkeypatch):
     # (w-1)(w-2), and (w-1)(w-2)(w-3), whose f(0) < 0 passes the other check
     for wiggly in (((2, 1), (1, -3), (0, 2)), ((3, 1), (2, -6), (1, 11), (0, -6))):
-        monkeypatch.setattr(bounds, "build_f", lambda ell, k: FPolynomial(wiggly))
+        monkeypatch.setattr(bounds, "build_f", lambda ell, k: wiggly)
         with pytest.raises(ValueError):
             check_sandwich(3, 1)
 
 
 def test_sandwich_requires_f_negative_at_zero(monkeypatch):
     # one sign change, but f(0) = 4 > 0: the root is not where the lemma needs it
-    monkeypatch.setattr(bounds, "build_f", lambda ell, k: FPolynomial(((2, -1), (0, 4))))
+    monkeypatch.setattr(bounds, "build_f", lambda ell, k: ((2, -1), (0, 4)))
     with pytest.raises(ValueError):
         check_sandwich(3, 1)

@@ -26,6 +26,12 @@ def test_decide_summary_family(capsys):
     assert "FAMILY w=2k(k+1)" in out
 
 
+def test_decide_summary_counts(capsys):
+    code, out = run(capsys, "decide", "--ell", "27", "--summary")
+    assert code == 0
+    assert out == "NO_SOLUTION (ell=27, candidate k values: 6, integer candidates: 6)\n"
+
+
 def test_decide_rejects_bad_ell(capsys):
     assert main(["decide", "--ell", "0"]) == 2
     assert main(["decide", "--ell", "5", "--mode", "quick"]) == 2
@@ -92,6 +98,14 @@ def test_sweep_rejects_bad_range(capsys):
     capsys.readouterr()
 
 
+def test_sweep_rejects_bad_range_before_opening_the_output(tmp_path, capsys):
+    target = tmp_path / "rows.csv"
+    assert main(["sweep", "--ell-min", "5", "--ell-max", "3", "--out", str(target)]) == 2
+    assert main(["sweep", "--ell-min", "3", "--ell-max", "5", "--workers", "0", "--out", str(target)]) == 2
+    assert not target.exists()
+    capsys.readouterr()
+
+
 def test_lemmas_pass(capsys):
     code, out = run(
         capsys, "lemmas", "--lemma", "macmillan-sondow", "--k-max", "50", "--m-max", "19"
@@ -117,6 +131,13 @@ def test_lemmas_all(capsys):
 def test_lemmas_rejects_unknown_name(capsys):
     assert main(["lemmas", "--lemma", "nosuch"]) == 2
     capsys.readouterr()
+
+
+def test_lemmas_help_names_every_lemma(capsys):
+    code, out = run(capsys, "lemmas", "--help")
+    assert code == 0
+    for name in ("carlitz-von-staudt", "macmillan-sondow", "sandwich", "appendix", "modular-collapse"):
+        assert name in out
 
 
 def test_lemmas_rejects_ranges_that_check_nothing(capsys):

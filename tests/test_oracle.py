@@ -2,7 +2,7 @@
 
 import pytest
 
-from powerbalance.equation import FPolynomial, build_f
+from powerbalance.equation import build_f
 from powerbalance.oracle import count_positive_roots, has_simple_roots, oracle_search
 
 
@@ -56,7 +56,7 @@ def test_root_count_grid():
 
 
 def _from_factors(*factors):
-    """FPolynomial of the product of integer factors, each by descending power."""
+    """(exponent, coefficient) pairs of the product of integer factors, each by descending power."""
     product = [1]
     for factor in factors:
         out = [0] * (len(product) + len(factor) - 1)
@@ -65,7 +65,7 @@ def _from_factors(*factors):
                 out[i + j] += a * b
         product = out
     degree = len(product) - 1
-    return FPolynomial(tuple((degree - i, c) for i, c in enumerate(product)))
+    return tuple((degree - i, c) for i, c in enumerate(product))
 
 
 def test_root_count_sees_integer_root():
@@ -100,7 +100,7 @@ def test_root_count_ignores_nonpositive_roots():
     assert count_positive_roots(_from_factors([1, 0], [1, -3])) == 1  # w = 0 is no root
     assert count_positive_roots(_from_factors([7])) == 0
     with pytest.raises(ValueError):
-        count_positive_roots(FPolynomial(((2, 0), (0, 0))))
+        count_positive_roots(((2, 0), (0, 0)))
 
 
 def test_f_has_only_simple_roots():
