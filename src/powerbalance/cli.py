@@ -15,7 +15,6 @@ variables -- so invocations reproduce exactly.
 """
 
 import argparse
-import csv
 import json
 import random
 import sys
@@ -100,20 +99,17 @@ def _cmd_decide(args, out) -> int:
 
 def _cmd_sweep(stream, args, out) -> int:
     if args.format == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(SWEEP_CSV_COLUMNS)
-        for cert in stream:
-            writer.writerow(_summary_row(cert))
-            out.flush()
-    elif args.format == "jsonl":
-        for cert in stream:
+        print(",".join(SWEEP_CSV_COLUMNS), file=out)
+    for cert in stream:
+        if args.format == "certs":
+            line = certificate_json(cert)
+        elif args.format == "jsonl":
             row = dict(zip(SWEEP_CSV_COLUMNS, _summary_row(cert)))
-            print(json.dumps(row, sort_keys=True, separators=(",", ":")), file=out)
-            out.flush()
-    else:
-        for cert in stream:
-            print(certificate_json(cert), file=out)
-            out.flush()
+            line = json.dumps(row, sort_keys=True, separators=(",", ":"))
+        else:  # every field is an integer or a verdict name, so none needs CSV quoting
+            line = ",".join(map(str, _summary_row(cert)))
+        print(line, file=out)
+        out.flush()
     return 0
 
 

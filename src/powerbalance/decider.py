@@ -17,7 +17,9 @@ was a root.  Paranoid mode also checks every sign a second, independent
 way, by evaluating the polynomial f, and raises if the two disagree.  The
 outcome is a Certificate -- a machine-readable record of every window,
 filter outcome and evaluation sign -- serializable to JSON with all exact
-values rendered as decimal or "p/q" strings, never floats.
+values rendered as decimal or "p/q" strings, never floats.  It stores ell,
+the per-k records, the mode and the elapsed time; the verdict, solutions
+and ell = 1, 2 family are derived from them.
 """
 
 import json
@@ -76,42 +78,51 @@ class CandidateEvaluation:
 
 @dataclass(frozen=True)
 class CandidateRecord:
-    """Everything the procedure did for one k."""
+    """Everything the procedure did for one k: its window and every integer in it."""
 
     k: int
     window: tuple[Fraction, Fraction]
-    integer_candidates: tuple[int, ...]
     per_candidate: tuple[CandidateEvaluation, ...]
+
+    @property
+    def integer_candidates(self) -> tuple[int, ...]:
+        return tuple(ev.w for ev in self.per_candidate)
 
 
 @dataclass(frozen=True)
 class Certificate:
-    """Auditable record of the decision for one ell."""
+    """Auditable record of the decision for one ell.
+
+    Stores ell, the per-k records, the mode and the elapsed time; derives
+    the solutions, the verdict and the ell = 1, 2 family from those.
+    """
 
     ell: int
-    verdict: str
     candidates: tuple[CandidateRecord, ...]
     mode: str
     elapsed_ms: int
-    solutions: tuple[tuple[int, int], ...] = ()
-    family: dict | None = None
 
+    @property
+    def solutions(self) -> tuple[tuple[int, int], ...]:
+        """Sorted (n, k) = (w - k, k) of every candidate with f(k, w) = 0."""
+        return tuple(sorted((ev.w - rec.k, rec.k) for rec in self.candidates
+                            for ev in rec.per_candidate if ev.f_sign == 0))
 
-def _family_certificate(ell: int, mode: str, t0: float) -> Certificate:
-    w_formula = "k(k+1)" if ell == 1 else "2k(k+1)"
-    n_formula = "k^2" if ell == 1 else "k(2k+1)"
-    samples = []
-    for k in range(1, _FAMILY_SAMPLE_COUNT + 1):
-        n, _ = solution_family(ell, k)
-        samples.append((n, k))
-    return Certificate(
-        ell=ell,
-        verdict=FAMILY,
-        candidates=(),
-        mode=mode,
-        elapsed_ms=_elapsed_ms(t0),
-        family={"w": w_formula, "n": n_formula, "samples": samples},
-    )
+    @property
+    def verdict(self) -> str:
+        if self.ell <= 2:
+            return FAMILY
+        return SOLUTIONS if self.solutions else NO_SOLUTION
+
+    @property
+    def family(self) -> dict | None:
+        """The closed-form ell = 1, 2 family, with samples from solution_family."""
+        if self.ell > 2:
+            return None
+        one = self.ell == 1
+        samples = [(solution_family(self.ell, k)[0], k) for k in range(1, _FAMILY_SAMPLE_COUNT + 1)]
+        return {"w": "k(k+1)" if one else "2k(k+1)", "n": "k^2" if one else "k(2k+1)",
+                "samples": samples}
 
 
 def _elapsed_ms(t0: float) -> int:
@@ -169,20 +180,23 @@ def _settle_sign(ell: int, k: int, w: int, excluded: bool) -> int:
     return sign
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in (FAST, PARANOID):
+        raise ValueError(f"mode must be '{FAST}' or '{PARANOID}', got {mode!r}")
+
+
 def decide(ell: int, mode: str = FAST) -> Certificate:
     """Decide the equation for one exponent and certify the outcome."""
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
-    if mode not in (FAST, PARANOID):
-        raise ValueError(f"mode must be '{FAST}' or '{PARANOID}', got {mode!r}")
+    _check_mode(mode)
     t0 = time.perf_counter()
     if ell <= 2:
-        return _family_certificate(ell, mode, t0)
+        return Certificate(ell, (), mode, _elapsed_ms(t0))
 
     sharp = corollary_K_bound(ell)
     cap_num, cap_den = sharp.numerator, sharp.denominator
     records = []
-    solutions = []
     batch = None
     k = 1
     while k * (k + 1) * cap_den <= cap_num:
@@ -220,23 +234,14 @@ def decide(ell: int, mode: str = FAST) -> Certificate:
                 # reports[0] is the radical filter, which the replay needs passed
                 if ell >= 5 and w % 2 == 0 and not reports[0].failed:
                     reports.append(check_modular_collapse(ell, k, w, precomputed_sums=sums))
-            if sign == 0:
-                solutions.append((w - k, k))
             evaluations.append(CandidateEvaluation(w, tuple(reports), sign))
-        records.append(CandidateRecord(k, window, tuple(ws), tuple(evaluations)))
+        records.append(CandidateRecord(k, window, tuple(evaluations)))
         k += 1
 
     if mode == PARANOID:
         _consistency_scan_beyond_bound(ell, k, sharp)
 
-    return Certificate(
-        ell=ell,
-        verdict=SOLUTIONS if solutions else NO_SOLUTION,
-        candidates=tuple(records),
-        mode=mode,
-        elapsed_ms=_elapsed_ms(t0),
-        solutions=tuple(sorted(solutions)),
-    )
+    return Certificate(ell, tuple(records), mode, _elapsed_ms(t0))
 
 
 def _consistency_scan_beyond_bound(ell: int, k_start: int, sharp: Fraction) -> None:
@@ -267,14 +272,15 @@ def _pool_size(workers: int, tasks: int) -> int:
 def sweep(ell_min: int, ell_max: int, mode: str = FAST, workers: int = 1):
     """Decide every ell in [ell_min, ell_max]; an iterator of certificates in ell order.
 
-    The range and the worker count are checked at the call, before any
-    exponent is decided.  Exponents are independent, so they may be farmed
+    The range, the mode and the worker count are checked at the call, before
+    any exponent is decided.  Exponents are independent, so they may be farmed
     out to worker processes, at most one per core and per exponent; results
     are collected back in input order, making the output deterministic
     regardless of worker count.
     """
     if not 1 <= ell_min <= ell_max:
         raise ValueError(f"need 1 <= ell_min <= ell_max, got {ell_min}..{ell_max}")
+    _check_mode(mode)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     ells = range(ell_min, ell_max + 1)
@@ -319,12 +325,9 @@ def certificate_to_dict(cert: Certificate, include_timing: bool = True) -> dict:
             for rec in cert.candidates
         ],
     }
-    if cert.family is not None:
-        out["family"] = {
-            "w": cert.family["w"],
-            "n": cert.family["n"],
-            "samples": [[str(n), str(k)] for n, k in cert.family["samples"]],
-        }
+    family = cert.family
+    if family is not None:
+        out["family"] = {**family, "samples": [[str(n), str(k)] for n, k in family["samples"]]}
     if include_timing:
         out["elapsed_ms"] = cert.elapsed_ms
     return out

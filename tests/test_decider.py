@@ -1,5 +1,6 @@
 """The per-exponent decision procedure and its certificates."""
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -16,6 +17,7 @@ from powerbalance.decider import (
     FAST,
     NO_SOLUTION,
     PARANOID,
+    SOLUTIONS,
     certificate_json,
     certificate_to_dict,
     decide,
@@ -134,6 +136,19 @@ def test_public_api():
     assert sorted(powerbalance.__all__) == expected
     for name in expected:
         assert getattr(powerbalance, name) is not None, name
+
+
+def test_certificate_stores_only_what_decide_observed():
+    stored = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
+              for cls in (decider.Certificate, decider.CandidateRecord, decider.CandidateEvaluation)}
+    assert stored == {
+        "Certificate": ["ell", "candidates", "mode", "elapsed_ms"],
+        "CandidateRecord": ["k", "window", "per_candidate"],
+        "CandidateEvaluation": ["w", "filters", "f_sign"],
+    }
+    cert = decide(27)
+    for rec in cert.candidates:
+        assert rec.integer_candidates == tuple(decider.integers_in_window(rec.window))
 
 
 def test_decide_validation():
@@ -303,6 +318,44 @@ def test_paranoid_mode_rejects_disagreeing_sign_routes(monkeypatch):
         decide(27, mode=PARANOID)
 
 
+def _zero_balance_at(monkeypatch, k, w):
+    """Make direct summation report a root at (k, w) and nowhere else."""
+    real = decider.balance_difference
+
+    def patched(n, kk, ell):
+        return 0 if (kk, n + kk) == (k, w) else real(n, kk, ell)
+
+    monkeypatch.setattr(decider, "balance_difference", patched)
+
+
+def test_a_zero_sign_at_a_survivor_is_a_solution(monkeypatch):
+    # (k, w) = (1, 56) is the only candidate of ell = 27 that every filter passes
+    _zero_balance_at(monkeypatch, 1, 56)
+    cert = decide(27, mode=FAST)
+    assert cert.verdict == SOLUTIONS
+    assert cert.solutions == ((55, 1),)
+    data = json.loads(certificate_json(cert, include_timing=False))
+    assert data["verdict"] == SOLUTIONS
+    assert data["solutions"] == [["55", "1"]]
+    [ws] = data["candidates"][0]["ws"]
+    assert ws["w"] == "56" and ws["f_sign"] == 0 and ws["status"] == "SOLUTION"
+
+
+def test_paranoid_mode_rejects_a_root_the_filters_excluded(monkeypatch):
+    # the radical filter excludes (k, w) = (2, 164) at ell = 27
+    _zero_balance_at(monkeypatch, 2, 164)
+    assert decide(27, mode=FAST).verdict == NO_SOLUTION
+    with pytest.raises(RuntimeError, match="filter soundness violated"):
+        decide(27, mode=PARANOID)
+
+
+def test_settle_sign_rejects_a_root_with_nonpositive_n(monkeypatch):
+    monkeypatch.setattr(decider, "balance_difference", lambda n, k, ell: 0)
+    for k, w in ((3, 3), (3, 2)):
+        with pytest.raises(RuntimeError, match="root with nonpositive n"):
+            decider._settle_sign(27, k, w, excluded=False)
+
+
 def test_pool_size_is_capped_by_cores_and_tasks(monkeypatch):
     monkeypatch.setattr(decider.os, "cpu_count", lambda: 4)
     assert decider._pool_size(5000, 998) == 4
@@ -319,6 +372,16 @@ def test_sweep_of_one_exponent_starts_no_pool(monkeypatch):
 
     monkeypatch.setattr(decider, "ProcessPoolExecutor", forbidden)
     assert [c.verdict for c in sweep(5, 5, workers=5000)] == [NO_SOLUTION]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_rejects_an_unknown_mode_at_the_call(monkeypatch, workers):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an invalid mode must be rejected before any pool starts")
+
+    monkeypatch.setattr(decider, "ProcessPoolExecutor", forbidden)
+    with pytest.raises(ValueError, match="mode must be"):
+        sweep(3, 5, mode="quick", workers=workers)
 
 
 @pytest.mark.parametrize("workers", [0, -1])
