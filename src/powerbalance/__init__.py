@@ -7,76 +7,23 @@ For ell = 1 and ell = 2 the solutions form the classical closed families
 integer solutions, and this package decides that finitely for any given
 ell -- exact interval bounds, 2-adic filters, exact big-integer evaluation --
 and emits machine-checkable certificates.  See OEIS A234319.
+
+The top level holds what a caller needs to decide, sweep and check:
+decide, sweep, Certificate, certificate_json, verify_instance and
+solution_family.  Everything else stays in its module, e.g.
+``from powerbalance.bounds import compute_bounds``.
 """
 
 __version__ = "0.1.0"
 
-from .arith import nu, odd_prime_factors, rad
-from .bounds import (
-    check_appendix_identity,
-    check_sandwich,
-    compute_bounds,
-    corollary_K_bound,
-    integers_in_window,
-    weak_K_bound,
-)
 from .decider import Certificate, certificate_json, decide, sweep
-from .equation import (
-    build_f,
-    eval_f,
-    sign_changes,
-    solution_family,
-    verify_instance,
-)
-from .filters import (
-    FilterReport,
-    check_modular_collapse,
-    filter_3f_plus_3,
-    filter_g_ge_e_plus_1,
-    filter_radical,
-    filter_w_plus_1_primes,
-)
-from .oracle import count_positive_roots, oracle_search
-from .powersum import (
-    bernoulli_numbers,
-    check_carlitz_von_staudt,
-    check_macmillan_sondow,
-    powersum_batch,
-    powersum_closed,
-    powersum_direct,
-)
+from .equation import solution_family, verify_instance
 
 __all__ = [
     "Certificate",
-    "FilterReport",
-    "bernoulli_numbers",
-    "build_f",
     "certificate_json",
-    "check_appendix_identity",
-    "check_carlitz_von_staudt",
-    "check_macmillan_sondow",
-    "check_modular_collapse",
-    "check_sandwich",
-    "compute_bounds",
-    "corollary_K_bound",
-    "count_positive_roots",
     "decide",
-    "eval_f",
-    "filter_3f_plus_3",
-    "filter_g_ge_e_plus_1",
-    "filter_radical",
-    "filter_w_plus_1_primes",
-    "integers_in_window",
-    "nu",
-    "odd_prime_factors",
-    "oracle_search",
-    "powersum_batch",
-    "powersum_closed",
-    "powersum_direct",
-    "rad",
-    "sign_changes",
     "solution_family",
     "sweep",
     "verify_instance",
-    "weak_K_bound",
 ]

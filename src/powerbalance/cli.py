@@ -9,13 +9,16 @@ Subcommands:
   oracle   brute-force search of an (n, k) box
 
 Exit codes: 0 success (or verdict as expected), 1 domain-level FALSE or
-counterexample, 2 usage error.  All emitted numbers are exact: integers or
-"p/q" strings, never floats.  Configuration is flags only -- no environment
-variables -- so invocations reproduce exactly.
+counterexample, 2 usage error (an --out path that cannot be opened too),
+141 (128 + SIGPIPE) when the reader closes stdout early, as `head` does.
+All emitted numbers are exact: integers or "p/q" strings, never floats.
+Configuration is flags only -- no environment variables -- so invocations
+reproduce exactly.
 """
 
 import argparse
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -235,7 +238,11 @@ def main(argv=None) -> int:
             except ValueError as exc:
                 parser.error(str(exc))
             if args.out != "-":
-                with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                try:
+                    fh = open(args.out, "w", encoding="utf-8", newline="")
+                except OSError as exc:
+                    parser.error(f"cannot open --out {args.out}: {exc.strerror}")
+                with fh:
                     return _cmd_sweep(stream, args, fh)
             return _cmd_sweep(stream, args, out)
         if args.command == "verify":
@@ -255,7 +262,17 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout.  Point what is left of stdout at devnull,
+        # so that the flush at exit cannot fail again, and exit as a process
+        # killed by SIGPIPE would.  SIGPIPE keeps Python's default (ignored),
+        # since the worker pool talks over pipes too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -162,21 +162,29 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def _settle_sign(ell: int, k: int, w: int, excluded: bool) -> int:
-    """Sign of f(k, w), by direct summation.
+def _settle_sign(
+    ell: int, k: int, w: int, excluded: bool, poly: tuple[tuple[int, int], ...] | None
+) -> int:
+    """Sign of f(k, w), by direct summation, checked against poly when given.
 
-    For w > 0, f(k, w) has the sign of LHS - RHS at n = w - k.
+    For w > 0, f(k, w) has the sign of LHS - RHS at n = w - k.  Paranoid mode
+    passes the polynomial f, and the sign must agree with eval_f on it.
     """
     sign = _sign(balance_difference(w - k, k, ell))
-    if sign != 0:
-        return sign
-    if excluded:
+    if sign == 0 and excluded:
         raise RuntimeError(
             f"filter soundness violated: ell={ell}, k={k}, w={w} was "
             f"filter-excluded but f(k, w) = 0"
         )
-    if w <= k:
+    if sign == 0 and w <= k:
         raise RuntimeError(f"root with nonpositive n: ell={ell}, k={k}, w={w}")
+    if poly is not None:
+        f_sign = _sign(eval_f(poly, w))
+        if f_sign != sign:
+            raise RuntimeError(
+                f"sign routes disagree: ell={ell}, k={k}, w={w}: direct "
+                f"summation gives {sign}, f(k, w) gives {f_sign}"
+            )
     return sign
 
 
@@ -208,10 +216,8 @@ def decide(ell: int, mode: str = FAST) -> Certificate:
         for w in ws:
             reports = _run_filters(ell, k, w)
             excluded = any(r.failed for r in reports)
-            if excluded and mode == FAST:
-                sign = None
-            else:
-                sign = _settle_sign(ell, k, w, excluded)
+            sign = None
+            if mode == PARANOID or not excluded:
                 # Every k that gets here needs the batch: paranoid mode builds
                 # f from it, and a fast-mode candidate that passed every filter
                 # is even and radical-admissible with ell >= 6, so it gets the
@@ -222,17 +228,11 @@ def decide(ell: int, mode: str = FAST) -> Certificate:
                     batch = (k, sums)
                     if mode == PARANOID:
                         _crosscheck_powersums(ell, k, sums)
-                if mode == PARANOID:
-                    if poly is None:
                         poly = build_f(ell, k, sums)
-                    f_sign = _sign(eval_f(poly, w))
-                    if f_sign != sign:
-                        raise RuntimeError(
-                            f"sign routes disagree: ell={ell}, k={k}, w={w}: direct "
-                            f"summation gives {sign}, f(k, w) gives {f_sign}"
-                        )
-                # reports[0] is the radical filter, which the replay needs passed
-                if ell >= 5 and w % 2 == 0 and not reports[0].failed:
+                sign = _settle_sign(ell, k, w, excluded, poly)
+                # reports[0] is the radical filter; passing it makes w even,
+                # since 2 | k(k+1), and the replay needs both
+                if ell >= 5 and not reports[0].failed:
                     reports.append(check_modular_collapse(ell, k, w, precomputed_sums=sums))
             evaluations.append(CandidateEvaluation(w, tuple(reports), sign))
         records.append(CandidateRecord(k, window, tuple(evaluations)))

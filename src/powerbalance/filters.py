@@ -104,20 +104,21 @@ def check_modular_collapse(
 ) -> FilterReport:
     """Replay the 2-adic collapse of the equation on one candidate.
 
-    Write the equation as top_power(w) = sum of terms over odd m, and let
-    s = 2^((2f-1) + 2g + e) for even ell, s = 2^((2f-1) + 2g) for odd ell.
-    The checks, all on exact integers:
+    Write the equation as top_power(w) = sum of terms over odd m <= top_m.
+    Even ell works with the equation divided by w, so with shift = 1 for
+    even ell and 0 for odd ell, top_m = ell - shift.  One formula serves both
+    parities, since e = nu_2(ell) is 0 for odd ell.  Let
+    s = 2^((2f-1) + 2g + e).  The checks, all on exact integers:
 
-      (i)   every middle term (3 <= m <= ell-3 even case, <= ell-2 odd
-            case) has nu_2 >= nu_2(s);
-      (ii)  the m = 1 term has nu_2 exactly e + (ell-2)g + f (even case)
-            resp. (ell-1)g + f (odd case), and at least nu_2(s);
-      (iii) the last term has nu_2 exactly e + 2f - 1 resp. 2f - 1.
+      (i)   every middle term, 3 <= m < top_m, has nu_2 >= nu_2(s);
+      (ii)  the m = 1 term has nu_2 exactly e + (top_m - 1)g + f, and at
+            least nu_2(s);
+      (iii) the last term, m = top_m, has nu_2 exactly e + 2f - 1.
 
-    When they hold, a solution would force (ell-1)g = e + 2f - 1 (even)
-    resp. ell*g = 2f - 1 (odd).  PASS reports that the forced equality is
-    false, i.e. the candidate is contradicted.  Any other outcome is FAIL
-    and signals a bookkeeping bug, never an accepted candidate.
+    When they hold, a solution would force top_m * g = e + 2f - 1.  PASS
+    reports that the forced equality is false, i.e. the candidate is
+    contradicted.  Any other outcome is FAIL and signals a bookkeeping bug,
+    never an accepted candidate.
     """
     if ell < 5:
         raise ValueError(f"the collapse argument needs ell >= 5, got {ell}")
@@ -125,14 +126,13 @@ def check_modular_collapse(
         raise ValueError(f"w must be even, got {w}")
     if filter_radical(k, w).failed:
         raise ValueError(f"rad(k(k+1)) must divide w, got k = {k}, w = {w}")
-    even = ell % 2 == 0
     e = nu(ell)
     f = nu(k * (k + 1))
     g = nu(w)
-    s_exp = (2 * f - 1) + 2 * g + (e if even else 0)
+    s_exp = 2 * f - 1 + 2 * g + e
     sums = precomputed_sums if precomputed_sums is not None else powersum_batch(k, ell)
-    shift = 1 if even else 0  # even case works with the w-divided equation
-    top_m = ell - 1 if even else ell
+    shift = 1 - ell % 2  # even ell works with the w-divided equation
+    top_m = ell - shift
 
     # nu_2 of each term 2 * C(ell, m) * w^(ell-m-shift) * S_m(k), from Kummer's
     # theorem for the binomial and the lowest set bit of the power sum; the
@@ -151,7 +151,7 @@ def check_modular_collapse(
             return FilterReport(
                 name, FAIL, f"middle term m = {m} has nu_2 = {v} < nu_2(s) = {s_exp}"
             )
-    m1_expected = e + (ell - 2) * g + f if even else (ell - 1) * g + f
+    m1_expected = e + (top_m - 1) * g + f
     m1 = term_val[1]
     if m1 != m1_expected:
         return FilterReport(
@@ -161,13 +161,13 @@ def check_modular_collapse(
         return FilterReport(
             name, FAIL, f"m = 1 term has nu_2 = {m1} < nu_2(s) = {s_exp}, no collapse"
         )
-    top_expected = (e if even else 0) + 2 * f - 1
+    top_expected = e + 2 * f - 1
     top = term_val[top_m]
     if top != top_expected:
         return FilterReport(
             name, FAIL, f"last term has nu_2 = {top}, expected exactly {top_expected}"
         )
-    lhs = (ell - 1) * g if even else ell * g
+    lhs = top_m * g
     if lhs == top_expected:
         return FilterReport(
             name,

@@ -1,7 +1,12 @@
 """Command-line interface: flags, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import powerbalance
 from powerbalance.cli import SWEEP_CSV_COLUMNS, main
 
 
@@ -104,6 +109,27 @@ def test_sweep_rejects_bad_range_before_opening_the_output(tmp_path, capsys):
     assert main(["sweep", "--ell-min", "3", "--ell-max", "5", "--workers", "0", "--out", str(target)]) == 2
     assert not target.exists()
     capsys.readouterr()
+
+
+def test_sweep_reports_an_output_it_cannot_open_as_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    assert main(["sweep", "--ell-min", "3", "--ell-max", "5", "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert "cannot open --out" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_sweep_ends_quietly_when_the_reader_closes_stdout():
+    env = {**os.environ, "PYTHONPATH": str(Path(powerbalance.__file__).resolve().parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "powerbalance.cli", "sweep", "--ell-min", "3", "--ell-max", "1000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().decode().strip() == ",".join(SWEEP_CSV_COLUMNS)
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 141, stderr
+    assert "Traceback" not in stderr, stderr
 
 
 def test_lemmas_pass(capsys):

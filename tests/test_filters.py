@@ -6,7 +6,7 @@ import pytest
 
 import powerbalance.decider as decider
 from powerbalance import filters
-from powerbalance.arith import nu, nu2_binomial, odd_prime_factors
+from powerbalance.arith import nu, nu2_binomial, odd_prime_factors, rad
 from powerbalance.bounds import compute_bounds, integers_in_window
 from powerbalance.equation import build_f, eval_f
 from powerbalance.filters import (
@@ -184,3 +184,34 @@ def test_collapse_flags_an_odd_middle_power_sum():
         "modular_collapse", FAIL, "middle term m = 3 has nu_2 = 5 < nu_2(s) = 7"
     )
     assert report == _reference_collapse(7, 7, 14, sums)
+
+
+def _collapse_exit(report):
+    """Which of the replay's six exits produced the report."""
+    if report.outcome == PASS:
+        return "pass"
+    if report.detail.startswith("m = 1 term"):
+        return "m1 below s" if report.detail.endswith("no collapse") else "m1 exact"
+    return report.detail.split()[0]  # "middle", "last" or "forced"
+
+
+def test_collapse_matches_reference_on_every_exit_at_both_parities():
+    # true batches and batches with S_1, S_3 or the last sum corrupted drive
+    # the replay through each of its exits, at odd and at even ell
+    corruptions = [lambda s: 2 * s, lambda s: s + 1]
+    seen = {0: set(), 1: set()}
+    for ell in range(5, 17):
+        for k in [*range(1, 17), 31, 32, 63, 64]:
+            true_sums = powersum_batch(k, ell)
+            variants = [true_sums]
+            for m in (1, 3, max(true_sums)):
+                for corrupt in corruptions:
+                    variants.append({**true_sums, m: corrupt(true_sums[m])})
+            r = rad(k * (k + 1))
+            for w in range(r, 9 * r, r):
+                for sums in variants:
+                    report = check_modular_collapse(ell, k, w, precomputed_sums=sums)
+                    assert report == _reference_collapse(ell, k, w, sums), (ell, k, w, sums)
+                    seen[ell % 2].add(_collapse_exit(report))
+    every_exit = {"pass", "middle", "m1 exact", "m1 below s", "last", "forced"}
+    assert seen == {0: every_exit, 1: every_exit}
