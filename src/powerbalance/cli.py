@@ -81,6 +81,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=int, required=True)
     p.add_argument("--json", dest="as_json", action="store_true", help="emit a JSON list")
 
+    # errors found after parsing are reported with the subcommand's own usage line
+    for p in sub.choices.values():
+        p.set_defaults(usage_error=p.error)
     return parser
 
 
@@ -224,38 +227,37 @@ def _cmd_lemmas(args, out) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     out = sys.stdout
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         if args.command == "decide":
             if args.ell < 1:
-                parser.error(f"--ell must be >= 1, got {args.ell}")
+                args.usage_error(f"--ell must be >= 1, got {args.ell}")
             return _cmd_decide(args, out)
         if args.command == "sweep":
             try:
                 stream = sweep(args.ell_min, args.ell_max, mode=args.mode, workers=args.workers)
             except ValueError as exc:
-                parser.error(str(exc))
+                args.usage_error(str(exc))
             if args.out != "-":
                 try:
                     fh = open(args.out, "w", encoding="utf-8", newline="")
                 except OSError as exc:
-                    parser.error(f"cannot open --out {args.out}: {exc.strerror}")
+                    args.usage_error(f"cannot open --out {args.out}: {exc.strerror}")
                 with fh:
                     return _cmd_sweep(stream, args, fh)
             return _cmd_sweep(stream, args, out)
         if args.command == "verify":
             if args.n < 1 or args.k < 1 or args.ell < 1:
-                parser.error("--n, --k and --ell must all be >= 1")
+                args.usage_error("--n, --k and --ell must all be >= 1")
             return _cmd_verify(args, out)
         if args.command == "lemmas":
             if args.k_max < 1 or args.m_max < 3 or args.ell_max < 3 or args.samples < 0:
-                parser.error("need --k-max >= 1, --m-max >= 3, --ell-max >= 3 and --samples >= 0")
+                args.usage_error("need --k-max >= 1, --m-max >= 3, --ell-max >= 3 and --samples >= 0")
             return _cmd_lemmas(args, out)
         # the subparsers are required, so the command is "oracle"
         if args.ell < 1 or args.n_max < 1 or args.k_max < 1:
-            parser.error("--ell, --n-max and --k-max must all be >= 1")
+            args.usage_error("--ell, --n-max and --k-max must all be >= 1")
         return _cmd_oracle(args, out)
     except SystemExit as exc:
         return int(exc.code or 0)

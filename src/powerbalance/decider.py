@@ -7,19 +7,22 @@ ell >= 3 the procedure is:
   2. for each k, list the integers inside the exact root window;
   3. run the 2-adic filters on each integer candidate;
   4. settle the sign of f(k, w) for every survivor exactly, as the sign of
-     LHS - RHS summed directly at n = w - k, and replay the 2-adic collapse
-     (with Kummer valuations) on it.
+     LHS - RHS at n = w - k read off a truncated binomial series with a
+     proven tail bound (equation.balance_sign), and replay the 2-adic
+     collapse (with Kummer valuations) on it.
 
 The verdict never rests on a filter alone: a filter may only short-circuit
 the (more expensive) exact evaluation in fast mode, and paranoid mode
 evaluates every candidate anyway, confirming that nothing a filter excluded
-was a root.  Paranoid mode also checks every sign a second, independent
-way, by evaluating the polynomial f, and raises if the two disagree.  The
-outcome is a Certificate -- a machine-readable record of every window,
-filter outcome and evaluation sign -- serializable to JSON with all exact
-values rendered as decimal or "p/q" strings, never floats.  It stores ell,
-the per-k records, the mode and the elapsed time; the verdict, solutions
-and ell = 1, 2 family are derived from them.
+was a root.  Paranoid mode also checks every sign two more ways and raises
+if either disagrees: against the sign of the polynomial f, evaluated
+exactly, and that exact value of LHS - RHS against the definition summed in
+residues modulo the prime 2^61 - 1.  The outcome is a Certificate -- a
+machine-readable record of every window, filter outcome and evaluation
+sign -- serializable to JSON with all exact values rendered as decimal or
+"p/q" strings, never floats.  It stores ell, the per-k records, the mode
+and the elapsed time; the verdict, solutions and ell = 1, 2 family are
+derived from them.
 """
 
 import json
@@ -32,7 +35,7 @@ from functools import partial
 
 from .arith import nu
 from .bounds import compute_bounds, corollary_K_bound, integers_in_window, weak_K_bound
-from .equation import balance_difference, build_f, eval_f, solution_family
+from .equation import balance_residue, balance_sign, build_f, eval_f, solution_family
 from .filters import (
     FilterReport,
     check_modular_collapse,
@@ -59,6 +62,9 @@ SOLUTION = "SOLUTION"
 _CLOSED_CHECK_M_MAX = 41
 
 _FAMILY_SAMPLE_COUNT = 5
+
+# Paranoid mode compares LHS - RHS with its definition modulo this prime.
+_RESIDUE_PRIME = 2**61 - 1
 
 
 @dataclass(frozen=True)
@@ -165,12 +171,14 @@ def _sign(x) -> int:
 def _settle_sign(
     ell: int, k: int, w: int, excluded: bool, poly: tuple[tuple[int, int], ...] | None
 ) -> int:
-    """Sign of f(k, w), by direct summation, checked against poly when given.
+    """Sign of f(k, w) from balance_sign, checked two more ways when poly is given.
 
     For w > 0, f(k, w) has the sign of LHS - RHS at n = w - k.  Paranoid mode
-    passes the polynomial f, and the sign must agree with eval_f on it.
+    passes the polynomial f: the sign must agree with eval_f on it, and the
+    exact LHS - RHS that eval_f gives (f for odd ell, w * f for even ell)
+    must agree modulo _RESIDUE_PRIME with the definition summed in residues.
     """
-    sign = _sign(balance_difference(w - k, k, ell))
+    sign = balance_sign(ell, k, w)
     if sign == 0 and excluded:
         raise RuntimeError(
             f"filter soundness violated: ell={ell}, k={k}, w={w} was "
@@ -179,11 +187,18 @@ def _settle_sign(
     if sign == 0 and w <= k:
         raise RuntimeError(f"root with nonpositive n: ell={ell}, k={k}, w={w}")
     if poly is not None:
-        f_sign = _sign(eval_f(poly, w))
+        value = eval_f(poly, w)
+        f_sign = _sign(value)
         if f_sign != sign:
             raise RuntimeError(
-                f"sign routes disagree: ell={ell}, k={k}, w={w}: direct "
-                f"summation gives {sign}, f(k, w) gives {f_sign}"
+                f"sign routes disagree: ell={ell}, k={k}, w={w}: the series "
+                f"gives {sign}, f(k, w) gives {f_sign}"
+            )
+        exact = value if ell % 2 == 1 else w * value
+        if balance_residue(w - k, k, ell, _RESIDUE_PRIME) != exact % _RESIDUE_PRIME:
+            raise RuntimeError(
+                f"definition route disagrees mod P: ell={ell}, k={k}, w={w}: "
+                f"LHS - RHS from f(k, w) differs from the sum of residues"
             )
     return sign
 

@@ -20,14 +20,30 @@ window lemma (bounds.check_sandwich) needs.  For ell = 1 and ell = 2 that
 root is w = k(k+1) resp. w = 2k(k+1), giving the classical solution
 families; this module generates and verifies them.
 
-The decision procedure never needs the coefficients: for w > 0, f(k, w) has
-the sign of LHS - RHS at n = w - k (f equals it for odd ell, and w * f does
-for even ell), and balance_difference computes that by direct summation.
+The decision procedure never needs the coefficients.  For w > 0, f(k, w)
+has the sign of D(w) = LHS - RHS at n = w - k (f equals it for odd ell, and
+w * f does for even ell), and
+
+    D(w) = w^ell - 2 * sum_{m odd} C(ell, m) w^(ell-m) S_m(k).
+
+balance_sign reads that sign off the first few terms.  For odd M,
+D / w^(ell-M) = G_M - T_M, where G_M is the integer w^M minus the terms with
+m <= M and T_M is the tail of the terms with m > M, each positive.  The
+tail is at least its first term t = 2 C(ell, M+2) S_{M+2}(k) / w^2, and
+each later term is at most rho = ell^2 k^2 / ((M+3) (M+4) w^2) times the
+one before, so T_M <= t / (1 - rho) when rho < 1.  G_M < t makes the sign
+-1, G_M (1 - rho) > t makes it +1, and otherwise M grows by 2; at the last
+odd m the tail is empty and G_M is exact, zero included.  At window
+integers M stays small, so only a few S_m(k), polynomial-size integers,
+are needed and no ell-th power is formed.
+
 build_f and eval_f remain as the independent second route that paranoid
-mode, the root-counting oracle and the window lemmas use.
+mode, the root-counting oracle and the window lemmas use; balance_difference
+and balance_residue compute D from the definition itself, exactly and
+modulo a prime.
 """
 
-from .powersum import powersum_batch
+from .powersum import powersum_batch, powersum_closed
 
 
 def build_f(ell: int, k: int, sums: dict[int, int] | None = None) -> tuple[tuple[int, int], ...]:
@@ -80,6 +96,42 @@ def balance_difference(n: int, k: int, ell: int) -> int:
     left = sum((n + j) ** ell for j in range(k + 1))
     right = sum((n + j) ** ell for j in range(k + 1, 2 * k + 1))
     return left - right
+
+
+def balance_residue(n: int, k: int, ell: int, p: int) -> int:
+    """(LHS - RHS) mod p at (n, k, ell), summed from the definition in residues."""
+    left = sum(pow(n + j, ell, p) for j in range(k + 1))
+    right = sum(pow(n + j, ell, p) for j in range(k + 1, 2 * k + 1))
+    return (left - right) % p
+
+
+def balance_sign(ell: int, k: int, w: int) -> int:
+    """The sign of LHS - RHS at n = w - k, for ell, k, w >= 1, without ell-th powers.
+
+    Truncates the expansion of D(w) after odd M and bounds the tail (see the
+    module docstring), by integer cross-multiplication only.  S_m(k) comes
+    from powersum_closed, and C(ell, m) is walked up the row as in build_f.
+    """
+    if ell < 1 or k < 1 or w < 1:
+        raise ValueError(f"ell, k and w must all be >= 1, got {ell}, {k}, {w}")
+    last = ell if ell % 2 == 1 else ell - 1
+    w2 = w * w
+    lk2 = (ell * k) ** 2
+    binom = ell
+    g = w - 2 * binom * powersum_closed(k, 1)  # G_1
+    m = 1
+    while m < last:
+        binom = binom * (ell - m) * (ell - m - 1) // ((m + 1) * (m + 2))  # C(ell, m+2)
+        head = 2 * binom * powersum_closed(k, m + 2)  # t * w^2
+        g_next = g * w2 - head  # G_(m+2)
+        if g_next < 0:  # G_m < t <= T_m
+            return -1
+        # G_m (1 - rho) > t, i.e. G_m w^2 - t w^2 > G_m w^2 rho; rho >= 1 never passes
+        if g_next * (m + 3) * (m + 4) > g * lk2:
+            return 1
+        g = g_next
+        m += 2
+    return (g > 0) - (g < 0)
 
 
 def verify_instance(n: int, k: int, ell: int) -> bool:

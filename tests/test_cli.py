@@ -119,6 +119,22 @@ def test_sweep_reports_an_output_it_cannot_open_as_a_usage_error(tmp_path, capsy
     assert captured.out == ""
 
 
+def test_usage_errors_name_the_subcommand(tmp_path, capsys):
+    bad = [
+        ["sweep", "--ell-min", "5", "--ell-max", "3"],
+        ["sweep", "--ell-min", "3", "--ell-max", "5", "--workers", "0"],
+        ["sweep", "--ell-min", "3", "--ell-max", "5", "--out", str(tmp_path / "missing" / "x.csv")],
+        ["decide", "--ell", "0"],
+        ["verify", "--n", "0", "--k", "1", "--ell", "1"],
+        ["lemmas", "--k-max", "0"],
+        ["oracle", "--ell", "1", "--n-max", "0", "--k-max", "2"],
+    ]
+    for argv in bad:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: powerbalance {argv[0]} "), err
+
+
 def test_sweep_ends_quietly_when_the_reader_closes_stdout():
     env = {**os.environ, "PYTHONPATH": str(Path(powerbalance.__file__).resolve().parents[1])}
     proc = subprocess.Popen(

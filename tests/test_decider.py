@@ -8,7 +8,7 @@ import random
 import pytest
 
 import powerbalance
-from powerbalance import decider
+from powerbalance import decider, equation
 from powerbalance.bounds import corollary_K_bound
 from powerbalance.decider import (
     EXCLUDED_BY_EVALUATION,
@@ -312,14 +312,34 @@ def test_paranoid_mode_rejects_disagreeing_sign_routes(monkeypatch):
         decide(27, mode=PARANOID)
 
 
+def test_decide_never_sums_the_powers_exactly(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the decision path must not sum ell-th powers exactly")
+
+    assert not hasattr(decider, "balance_difference")
+    monkeypatch.setattr(equation, "balance_difference", forbidden)
+    for mode in (FAST, PARANOID):
+        assert decide(75, mode=mode).verdict == NO_SOLUTION
+
+
+def test_paranoid_mode_checks_the_definition_modulo_a_prime(monkeypatch):
+    # a doubled f keeps every sign, so only the route from the definition
+    # itself, summed in residues, can see it
+    real_eval = decider.eval_f
+    monkeypatch.setattr(decider, "eval_f", lambda poly, w: 2 * real_eval(poly, w))
+    assert decide(27, mode=FAST).verdict == NO_SOLUTION
+    with pytest.raises(RuntimeError, match="definition route disagrees mod P"):
+        decide(27, mode=PARANOID)
+
+
 def _zero_balance_at(monkeypatch, k, w):
-    """Make direct summation report a root at (k, w) and nowhere else."""
-    real = decider.balance_difference
+    """Make the series sign report a root at (k, w) and nowhere else."""
+    real = decider.balance_sign
 
-    def patched(n, kk, ell):
-        return 0 if (kk, n + kk) == (k, w) else real(n, kk, ell)
+    def patched(ell, kk, ww):
+        return 0 if (kk, ww) == (k, w) else real(ell, kk, ww)
 
-    monkeypatch.setattr(decider, "balance_difference", patched)
+    monkeypatch.setattr(decider, "balance_sign", patched)
 
 
 def test_a_zero_sign_at_a_survivor_is_a_solution(monkeypatch):
@@ -344,7 +364,7 @@ def test_paranoid_mode_rejects_a_root_the_filters_excluded(monkeypatch):
 
 
 def test_settle_sign_rejects_a_root_with_nonpositive_n(monkeypatch):
-    monkeypatch.setattr(decider, "balance_difference", lambda n, k, ell: 0)
+    monkeypatch.setattr(decider, "balance_sign", lambda ell, k, w: 0)
     for k, w in ((3, 3), (3, 2)):
         with pytest.raises(RuntimeError, match="root with nonpositive n"):
             decider._settle_sign(27, k, w, excluded=False, poly=None)

@@ -5,10 +5,20 @@ from fractions import Fraction
 from math import ceil, floor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from powerbalance.bounds import check_sandwich, compute_bounds, integers_in_window
+from powerbalance import equation
+from powerbalance.bounds import (
+    check_sandwich,
+    compute_bounds,
+    corollary_K_bound,
+    integers_in_window,
+)
 from powerbalance.equation import (
     balance_difference,
+    balance_residue,
+    balance_sign,
     build_f,
     eval_f,
     sign_changes,
@@ -87,8 +97,8 @@ def test_eval_f_matches_difference_fold():
 
 
 def test_direct_summation_matches_f_on_window_integers():
-    # the decider's sign route: LHS - RHS at n = w - k equals f(k, w) for
-    # odd ell and w * f(k, w) for even ell, so for w > 0 the signs agree.
+    # LHS - RHS at n = w - k equals f(k, w) for odd ell and w * f(k, w) for
+    # even ell, so for w > 0 the signs agree.
     # Checked at every window integer of the grid, and at the integers just
     # below and above each window, where f is negative resp. positive.
     in_window = 0
@@ -106,6 +116,127 @@ def test_direct_summation_matches_f_on_window_integers():
             assert eval_f(poly, below) < 0 < eval_f(poly, above), (ell, k)
             in_window += len(ws)
     assert in_window == 39  # the grid holds 39 window integers
+
+
+def _sign(x: int) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _direct_sign(ell, k, w):
+    return _sign(balance_difference(w - k, k, ell))
+
+
+def _spy_on_closed_sums(monkeypatch):
+    """Record every m that balance_sign reads S_m(k) for."""
+    seen = []
+    real = equation.powersum_closed
+
+    def spy(k, m):
+        seen.append(m)
+        return real(k, m)
+
+    monkeypatch.setattr(equation, "powersum_closed", spy)
+    return seen
+
+
+def test_balance_sign_matches_direct_summation_on_every_window():
+    # every window integer of ell <= 400 under the sharp cap, and for each
+    # nonempty window floor(lower), ceil(upper) and one past each; for
+    # ell <= 100 those four points at every k, empty windows included
+    in_window = 0
+    for ell in range(3, 401):
+        cap = corollary_K_bound(ell)
+        k = 1
+        while k * (k + 1) <= cap:
+            lower, upper = compute_bounds(ell, k)
+            ws = integers_in_window((lower, upper))
+            points = list(ws)
+            if ws or ell <= 100:
+                points += [floor(lower) - 1, floor(lower), ceil(upper), ceil(upper) + 1]
+            for w in points:
+                assert balance_sign(ell, k, w) == _direct_sign(ell, k, w), (ell, k, w)
+            in_window += len(ws)
+            k += 1
+    assert in_window == 2743
+
+
+def test_balance_sign_is_exactly_zero_at_the_family_roots():
+    for ell in (1, 2):
+        for k in range(1, 21):
+            _, w = solution_family(ell, k)
+            assert balance_sign(ell, k, w) == 0, (ell, k)
+            assert balance_sign(ell, k, w - 1) == -1, (ell, k)
+            assert balance_sign(ell, k, w + 1) == 1, (ell, k)
+
+
+@pytest.mark.parametrize(
+    "ell, k, w, sign",
+    [
+        (27, 1, 55, -1),  # the integer below the window of ell = 27, k = 1
+        (27, 1, 57, 1),  # the integer above it
+        (27, 1, 56, 1),  # the window integer
+        # small w against large k: rho = 81 * 400 / (20 * 441) >= 1, but
+        # G_1 = w - ell k(k+1) is already negative, so the first step decides
+        (9, 20, 21, -1),
+    ],
+)
+def test_balance_sign_decides_early(monkeypatch, ell, k, w, sign):
+    seen = _spy_on_closed_sums(monkeypatch)
+    assert balance_sign(ell, k, w) == sign == _direct_sign(ell, k, w)
+    assert seen == [1, 3]
+
+
+def test_balance_sign_can_need_a_later_term(monkeypatch):
+    # at (39, 9, 3513) the first step is inconclusive and S_5 settles it
+    seen = _spy_on_closed_sums(monkeypatch)
+    assert balance_sign(39, 9, 3513) == -1 == _direct_sign(39, 9, 3513)
+    assert seen == [1, 3, 5]
+
+
+def test_balance_sign_runs_to_the_last_term_at_a_root(monkeypatch):
+    # With the true power sums the loop reaches its last odd m, for ell >= 3,
+    # only at an exact zero.  A table with S_3(1) = 64 gives
+    # D(w) = w^3 - 6 w^2 - 128 = (w - 8)(w^2 + 2w + 16): G_3 = D(8) = 0 must
+    # come out of the final, exact step, and the neighbours stay early.
+    def closed(k, m):
+        return {1: 1, 3: 64}[m]
+
+    monkeypatch.setattr(equation, "powersum_closed", closed)
+    assert [balance_sign(3, 1, w) for w in (7, 8, 9)] == [-1, 0, 1]
+
+
+def test_balance_sign_reads_only_small_power_sums_at_large_ell(monkeypatch):
+    seen = _spy_on_closed_sums(monkeypatch)
+    ell = 99999
+    signs = set()
+    for k in (1, 3, 10, 12, 22, 39):
+        for w in integers_in_window(compute_bounds(ell, k))[:3]:
+            signs.add(balance_sign(ell, k, w))
+    assert signs == {-1, 1}
+    assert max(seen) <= 7
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_balance_sign_matches_direct_summation_off_the_windows(data):
+    ell = data.draw(st.integers(1, 80), label="ell")
+    k = data.draw(st.integers(1, 40), label="k")
+    w = data.draw(st.integers(k + 1, 4 * ell * k * (k + 1)), label="w")
+    assert balance_sign(ell, k, w) == _direct_sign(ell, k, w)
+
+
+def test_balance_sign_rejects_nonpositive_arguments():
+    for args in ((0, 1, 1), (3, 0, 1), (3, 1, 0)):
+        with pytest.raises(ValueError):
+            balance_sign(*args)
+
+
+def test_balance_residue_is_the_difference_mod_p():
+    rng = random.Random(14)
+    p = 2**61 - 1
+    for _ in range(200):
+        ell, k, n = rng.randint(1, 60), rng.randint(1, 30), rng.randint(-50, 10**6)
+        assert balance_residue(n, k, ell, p) == balance_difference(n, k, ell) % p
 
 
 def test_verify_instance_examples():
