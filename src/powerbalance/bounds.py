@@ -13,13 +13,16 @@ each ell.  The integer list needs none of that tightening: writing
 ell - 3 = 12q + r with 0 <= r <= 11 gives a = q + r/12 + 1/(6*ell) with a
 fractional part below 1, so floor(ell*K + a) is already ell*K + q.  For
 ell in (1, 2), a = b = 0 and the window is the single point ell*K.
-With A = (ell-1)(ell-2), each end of a window is one integer numerator over
-one denominator, straight from the definitions of a and b:
+With A = (ell-1)(ell-2), both ends of a window share the denominator
+den = 72 ell^3 K, straight from the definitions of a and b:
 
-    upper = (12 ell^2 K + A) / (12 ell),
-    lower = (72 ell^4 K^2 + 6 ell^2 A K - A^2) / (72 ell^3 K),
+    upper = (72 ell^4 K^2 + 6 ell^2 A K) / den,
+    lower = (72 ell^4 K^2 + 6 ell^2 A K - A^2) / den,
 
-returned as a reduced Fraction.  No rounding anywhere.
+and a window is the integer triple (lower, upper, den) of the two
+numerators and that denominator, never reduced.  Its integers run from
+ceil(lower/den) to floor(upper/den) by integer division.  No rounding
+anywhere.
 
 check_sandwich confirms the window lemma for one (ell, k) from two exact
 signs: f has a single positive root because its coefficients change sign
@@ -28,13 +31,16 @@ nonpositive at the lower end and nonnegative at the upper end.
 """
 
 from fractions import Fraction
-from math import ceil, floor
 
 from .equation import build_f, eval_f, sign_changes
 
 
-def compute_bounds(ell: int, k: int) -> tuple[Fraction, Fraction]:
-    """The root window (ell*K + a - b/K, ell*K + a) for ell >= 1 and k >= 1."""
+def compute_bounds(ell: int, k: int) -> tuple[int, int, int]:
+    """The root window (ell*K + a - b/K, ell*K + a) as (lower, upper, den).
+
+    The ends are lower/den and upper/den with den = 72 ell^3 K, for ell >= 1
+    and k >= 1.
+    """
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
     if k < 1:
@@ -42,10 +48,9 @@ def compute_bounds(ell: int, k: int) -> tuple[Fraction, Fraction]:
     K = k * (k + 1)
     A = (ell - 1) * (ell - 2)
     ell2 = ell * ell
-    return (
-        Fraction(72 * ell2 * ell2 * K * K + 6 * ell2 * A * K - A * A, 72 * ell2 * ell * K),
-        Fraction(12 * ell2 * K + A, 12 * ell),
-    )
+    t = 6 * ell2 * K
+    upper = t * (12 * ell2 * K + A)
+    return upper - A * A, upper, 12 * ell * t
 
 
 def corollary_K_bound(ell: int) -> Fraction:
@@ -66,10 +71,10 @@ def weak_K_bound(ell: int) -> Fraction:
     return Fraction((ell - 2) ** 2, 12)
 
 
-def integers_in_window(window: tuple[Fraction, Fraction]) -> list[int]:
-    """All integers w with lower <= w <= upper, ascending."""
-    lower, upper = window
-    return list(range(ceil(lower), floor(upper) + 1))
+def integers_in_window(window: tuple[int, int, int]) -> list[int]:
+    """All integers w with lower/den <= w <= upper/den, ascending."""
+    lower, upper, den = window
+    return list(range(-(-lower // den), upper // den + 1))
 
 
 def check_appendix_identity(ell, K) -> bool:
@@ -117,10 +122,10 @@ def check_sandwich(ell: int, k: int) -> bool:
     holds exactly when f(lower) <= 0 <= f(upper).  Raises ValueError if
     either property of f fails, since the two signs then prove nothing.
     """
-    lower, upper = compute_bounds(ell, k)
+    lower, upper, den = compute_bounds(ell, k)
     poly = build_f(ell, k)
     if sign_changes(poly) != 1:
         raise ValueError("the window lemma needs exactly one coefficient sign change")
     if eval_f(poly, 0) >= 0:
         raise ValueError("the window lemma needs f(0) < 0")
-    return eval_f(poly, lower) <= 0 <= eval_f(poly, upper)
+    return eval_f(poly, Fraction(lower, den)) <= 0 <= eval_f(poly, Fraction(upper, den))

@@ -22,7 +22,8 @@ machine-readable record of every window, filter outcome and evaluation
 sign -- serializable to JSON with all exact values rendered as decimal or
 "p/q" strings, never floats.  It stores ell, the per-k records, the mode
 and the elapsed time; the verdict, solutions and ell = 1, 2 family are
-derived from them.
+derived from them.  Each window is stored as the integer triple that
+bounds.compute_bounds returns, and reduced only when it is rendered.
 """
 
 import json
@@ -32,6 +33,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from math import gcd
 
 from .arith import nu
 from .bounds import compute_bounds, corollary_K_bound, integers_in_window, weak_K_bound
@@ -84,10 +86,14 @@ class CandidateEvaluation:
 
 @dataclass(frozen=True)
 class CandidateRecord:
-    """Everything the procedure did for one k: its window and every integer in it."""
+    """Everything the procedure did for one k: its window and every integer in it.
+
+    window is (lower, upper, den) from compute_bounds, the ends lower/den and
+    upper/den unreduced.
+    """
 
     k: int
-    window: tuple[Fraction, Fraction]
+    window: tuple[int, int, int]
     per_candidate: tuple[CandidateEvaluation, ...]
 
     @property
@@ -312,6 +318,14 @@ def _pool_map(task, ells: range, workers: int):
         yield from pool.map(task, ells, chunksize=chunk)
 
 
+def _ratio_str(p: int, q: int) -> str:
+    """str(Fraction(p, q)) for q > 0 from one gcd: "p/q" in lowest terms, or p/q when q | p."""
+    g = gcd(p, q)
+    if g == q:
+        return str(p // q)
+    return f"{p // g}/{q // g}"
+
+
 def certificate_to_dict(cert: Certificate, include_timing: bool = True) -> dict:
     """Plain-dict form of a certificate; exact values become strings."""
     out = {
@@ -323,7 +337,8 @@ def certificate_to_dict(cert: Certificate, include_timing: bool = True) -> dict:
         "candidates": [
             {
                 "k": str(rec.k),
-                "window": [str(rec.window[0]), str(rec.window[1])],
+                "window": [_ratio_str(rec.window[0], rec.window[2]),
+                           _ratio_str(rec.window[1], rec.window[2])],
                 "ws": [
                     {
                         "w": str(ev.w),

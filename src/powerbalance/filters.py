@@ -9,8 +9,10 @@ provably cannot solve the equation, PASS when the filter does not exclude
 it, and INCONCLUSIVE when the filter could not decide (an incomplete
 factorization).  Filters are accelerators only: the decision procedure
 never trusts a FAIL without the option of exact evaluation, and paranoid
-mode settles every filtered candidate's sign too, by direct summation of
-the equation checked against f(k, w), to confirm it is nonzero.
+mode settles every filtered candidate's sign too, to confirm it is
+nonzero: the sign from equation.balance_sign must equal the sign of
+eval_f on the polynomial f, and that exact value of LHS - RHS must equal
+the definition summed in residues modulo the prime 2^61 - 1.
 
 check_modular_collapse is different in kind: it replays, on one concrete
 candidate, the 2-adic congruence argument that rules out solutions for
@@ -99,6 +101,10 @@ def filter_3f_plus_3(ell: int, k: int) -> FilterReport:
     return FilterReport("3f_plus_3", PASS, f"3f + 3 = {3 * f + 3} <= ell = {ell}")
 
 
+def _zero_power_sum(k: int, m: int):
+    raise ValueError(f"power sum S_{m}({k}) = 0 at m = {m} has no 2-adic valuation")
+
+
 def check_modular_collapse(
     ell: int, k: int, w: int, precomputed_sums: dict[int, int] | None = None
 ) -> FilterReport:
@@ -118,7 +124,8 @@ def check_modular_collapse(
     When they hold, a solution would force top_m * g = e + 2f - 1.  PASS
     reports that the forced equality is false, i.e. the candidate is
     contradicted.  Any other outcome is FAIL and signals a bookkeeping bug,
-    never an accepted candidate.
+    never an accepted candidate.  A power sum of 0 in precomputed_sums has
+    no 2-adic valuation and raises ValueError naming its m.
     """
     if ell < 5:
         raise ValueError(f"the collapse argument needs ell >= 5, got {ell}")
@@ -141,7 +148,7 @@ def check_modular_collapse(
     term_val = {
         m: base + m.bit_count() + (ell - m).bit_count() - m * g + (s & -s).bit_length() - 1
         for m in range(1, top_m + 1, 2)
-        for s in (sums[m],)
+        for s in (sums[m] or _zero_power_sum(k, m),)
     }
 
     name = "modular_collapse"

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import floor, isqrt
+from math import isqrt
 
 import pytest
 
@@ -18,35 +18,46 @@ from powerbalance.bounds import (
 
 
 def _a_and_b(ell, k):
-    # the window is (ell*K + a - b/K, ell*K + a), so a and b read back exactly
+    # the window is (ell*K + a - b/K, ell*K + a), so a and b read back
+    # exactly, as numerators over the window's denominator
     K = k * (k + 1)
-    lower, upper = compute_bounds(ell, k)
-    return upper - ell * K, (upper - lower) * K
+    lower, upper, den = compute_bounds(ell, k)
+    return upper - ell * K * den, (upper - lower) * K, den
+
+
+def _equal(p, q, value):
+    # p/q == value, by integer cross-multiplication
+    value = Fraction(value)
+    return p * value.denominator == value.numerator * q
 
 
 def test_window_exact_values():
-    assert compute_bounds(8, 1) == (16 + Fraction(847, 2048), 16 + Fraction(7, 16))
-    assert _a_and_b(8, 1) == (Fraction(7, 16), Fraction(49, 1024))
+    assert compute_bounds(8, 1) == (1210140, 1211904, 73728)
+    lower, upper, den = compute_bounds(8, 1)
+    assert _equal(lower, den, 16 + Fraction(847, 2048))
+    assert _equal(upper, den, 16 + Fraction(7, 16))
+    a, b, den = _a_and_b(8, 1)
+    assert _equal(a, den, Fraction(7, 16)) and _equal(b, den, Fraction(49, 1024))
 
 
 @pytest.mark.parametrize("ell", [1, 2])
 def test_window_degenerates_for_small_ell(ell):
     for k in (1, 3, 9):
-        assert _a_and_b(ell, k) == (0, 0)
-        lower, upper = compute_bounds(ell, k)
-        assert lower == upper == ell * k * (k + 1)
+        assert _a_and_b(ell, k)[:2] == (0, 0)
+        lower, upper, den = compute_bounds(ell, k)
+        assert lower == upper == ell * k * (k + 1) * den
 
 
 def test_b_is_two_a_squared_over_ell():
     for ell in range(1, 101):
-        a, b = _a_and_b(ell, 2)
-        assert ell * b == 2 * a**2
+        a, b, den = _a_and_b(ell, 2)
+        assert ell * b * den == 2 * a**2
 
 
 def test_a_sits_between_twelfths():
     for ell in range(3, 61):
-        a, _ = _a_and_b(ell, 1)
-        assert Fraction(ell - 3, 12) <= a < Fraction(ell - 2, 12)
+        a, _, den = _a_and_b(ell, 1)
+        assert (ell - 3) * den <= 12 * a < (ell - 2) * den
 
 
 def test_K_bound_examples():
@@ -78,11 +89,11 @@ def _assert_windows_are_defining_formula(ell, ks):
     na, da, nb, db = a.numerator, a.denominator, b.numerator, b.denominator
     for k in ks:
         K = k * (k + 1)
-        lower, upper = compute_bounds(ell, k)
+        lower, upper, den = compute_bounds(ell, k)
         top = ell * K * da + na
-        assert upper.numerator * da == top * upper.denominator, (ell, k)
+        assert upper * da == top * den, (ell, k)
         bottom = top * db * K - nb * da
-        assert lower.numerator * da * db * K == bottom * lower.denominator, (ell, k)
+        assert lower * da * db * K == bottom * den, (ell, k)
 
 
 def test_window_matches_defining_formula():
@@ -113,8 +124,8 @@ def test_window_floor_needs_no_tightening():
     for ell in range(3, 10**4 + 1):
         for k in (1, 2):
             K = k * (k + 1)
-            _, upper = compute_bounds(ell, k)
-            assert floor(upper) == ell * K + (ell - 3) // 12, (ell, k)
+            _, upper, den = compute_bounds(ell, k)
+            assert upper // den == ell * K + (ell - 3) // 12, (ell, k)
     for ell in (1, 2):
         for k in (1, 3, 9):
             assert integers_in_window(compute_bounds(ell, k)) == [ell * k * (k + 1)]
@@ -162,11 +173,11 @@ def test_sandwich_rejects_a_shifted_window(monkeypatch, above):
     real = bounds.compute_bounds
 
     def shifted(ell, k):
-        lower, upper = real(ell, k)
-        step = upper - lower + 1
+        lower, upper, den = real(ell, k)
+        step = upper - lower + den
         if not above:
             step = -step
-        return lower + step, upper + step
+        return lower + step, upper + step, den
 
     monkeypatch.setattr(bounds, "compute_bounds", shifted)
     for ell, k in [(1, 3), (2, 2), (3, 1), (8, 2), (10, 5), (60, 40)]:

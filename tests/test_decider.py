@@ -4,12 +4,13 @@ import dataclasses
 import hashlib
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
 import powerbalance
 from powerbalance import decider, equation
-from powerbalance.bounds import corollary_K_bound
+from powerbalance.bounds import compute_bounds, corollary_K_bound
 from powerbalance.decider import (
     EXCLUDED_BY_EVALUATION,
     EXCLUDED_BY_FILTER,
@@ -143,6 +144,41 @@ def test_certificate_stores_only_what_decide_observed():
     cert = decide(27)
     for rec in cert.candidates:
         assert rec.integer_candidates == tuple(decider.integers_in_window(rec.window))
+
+
+def test_window_ends_render_as_reduced_fractions():
+    # both ends of every window of ell 1..400, up to two k past the sharp
+    # cap; ell = 1, 2 have integer ends, which render without "/1"
+    rendered = 0
+    for ell in range(1, 401):
+        A2 = ((ell - 1) * (ell - 2)) ** 2
+        k = 1
+        while 12 * ell**2 * (k - 2) * (k - 1) <= A2:
+            lower, upper, den = compute_bounds(ell, k)
+            for end in (lower, upper):
+                assert decider._ratio_str(end, den) == str(Fraction(end, den)), (ell, k, end)
+                rendered += 1
+            k += 1
+    assert rendered > 40000
+
+
+def test_fast_decide_builds_no_fraction_per_window(monkeypatch):
+    # every window of decide(999) stays an integer triple; the only Fraction
+    # fast mode may build is the sharp K cap from corollary_K_bound.  The
+    # Faulhaber memo builds its rational table once per process, so a first
+    # decide fills it before the count starts.
+    decide(999)
+    built = []
+    real_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    cert = decide(999)
+    assert len(cert.candidates) == 287
+    assert len(built) <= 1, len(built)
 
 
 def test_decide_validation():

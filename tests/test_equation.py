@@ -2,7 +2,6 @@
 
 import random
 from fractions import Fraction
-from math import ceil, floor
 
 import pytest
 from hypothesis import given, settings
@@ -104,9 +103,9 @@ def test_direct_summation_matches_f_on_window_integers():
     in_window = 0
     for ell in range(3, 61):
         for k in range(1, 41):
-            lower, upper = compute_bounds(ell, k)
-            ws = integers_in_window((lower, upper))
-            below, above = ceil(lower) - 1, floor(upper) + 1
+            lower, upper, den = compute_bounds(ell, k)
+            ws = integers_in_window((lower, upper, den))
+            below, above = -(-lower // den) - 1, upper // den + 1
             poly = build_f(ell, k)
             for w in [below, *ws, above]:
                 value = eval_f(poly, w)
@@ -148,11 +147,12 @@ def test_balance_sign_matches_direct_summation_on_every_window():
         cap = corollary_K_bound(ell)
         k = 1
         while k * (k + 1) <= cap:
-            lower, upper = compute_bounds(ell, k)
-            ws = integers_in_window((lower, upper))
+            lower, upper, den = compute_bounds(ell, k)
+            ws = integers_in_window((lower, upper, den))
             points = list(ws)
             if ws or ell <= 100:
-                points += [floor(lower) - 1, floor(lower), ceil(upper), ceil(upper) + 1]
+                low, high = lower // den, -(-upper // den)
+                points += [low - 1, low, high, high + 1]
             for w in points:
                 assert balance_sign(ell, k, w) == _direct_sign(ell, k, w), (ell, k, w)
             in_window += len(ws)

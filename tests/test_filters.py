@@ -79,6 +79,16 @@ def test_collapse_preconditions():
         check_modular_collapse(8, 2, 16)  # rad(6) does not divide 16
 
 
+@pytest.mark.parametrize("m", [1, 3, 5, 7])
+def test_collapse_rejects_a_zero_power_sum(m):
+    # a zero sum has no 2-adic valuation; read off its lowest set bit it
+    # would pass as -1 and turn into a FAIL report, not an error
+    sums = powersum_batch(7, 7)
+    sums[m] = 0
+    with pytest.raises(ValueError, match=f"at m = {m} "):
+        check_modular_collapse(7, 7, 14, precomputed_sums=sums)
+
+
 def _window_candidates(ell_range, k_max):
     for ell in ell_range:
         for k in range(1, k_max + 1):
