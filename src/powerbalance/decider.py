@@ -12,12 +12,17 @@ ell >= 3 the procedure is:
      collapse (with Kummer valuations) on it.
 
 The verdict never rests on a filter alone: a filter may only short-circuit
-the (more expensive) exact evaluation in fast mode, and paranoid mode
-evaluates every candidate anyway, confirming that nothing a filter excluded
-was a root.  Paranoid mode also checks every sign two more ways and raises
-if either disagrees: against the sign of the polynomial f, evaluated
-exactly, and that exact value of LHS - RHS against the definition summed in
-residues modulo the prime 2^61 - 1.  The outcome is a Certificate -- a
+the exact evaluation in fast mode, which reads every power sum from one
+route, the running powersum_batch.  Paranoid mode compares independent
+routes and raises on any disagreement.  It evaluates every candidate, so
+no filter excluded a root.  It checks each batch, before any sign reads
+it, against Carlitz-von Staudt and MacMillan-Sondow for every m and against
+Faulhaber (powersum_closed) for m <= _CLOSED_CHECK_M_MAX, well above the
+m <= 7 the series sign reads at window integers.  It requires each series
+sign to equal the sign of eval_f on build_f of the same batch, and that
+exact LHS - RHS to equal the definition summed in residues modulo the
+prime 2^61 - 1.  And it checks that every window between the sharp and the
+weak K bound is empty.  The outcome is a Certificate -- a
 machine-readable record of every window, filter outcome and evaluation
 sign -- serializable to JSON with all exact values rendered as decimal or
 "p/q" strings, never floats.  It stores ell, the per-k records, the mode
@@ -175,16 +180,14 @@ def _sign(x) -> int:
 
 
 def _settle_sign(
-    ell: int, k: int, w: int, excluded: bool, poly: tuple[tuple[int, int], ...] | None
+    ell: int, k: int, w: int, excluded: bool, sums: dict[int, int],
+    poly: tuple[tuple[int, int], ...] | None,
 ) -> int:
-    """Sign of f(k, w) from balance_sign, checked two more ways when poly is given.
+    """Sign of f(k, w), that of LHS - RHS at n = w - k, from balance_sign on sums.
 
-    For w > 0, f(k, w) has the sign of LHS - RHS at n = w - k.  Paranoid mode
-    passes the polynomial f: the sign must agree with eval_f on it, and the
-    exact LHS - RHS that eval_f gives (f for odd ell, w * f for even ell)
-    must agree modulo _RESIDUE_PRIME with the definition summed in residues.
+    Given the polynomial f, paranoid mode's two sign checks run as well.
     """
-    sign = balance_sign(ell, k, w)
+    sign = balance_sign(ell, k, w, sums)
     if sign == 0 and excluded:
         raise RuntimeError(
             f"filter soundness violated: ell={ell}, k={k}, w={w} was "
@@ -239,18 +242,15 @@ def decide(ell: int, mode: str = FAST) -> Certificate:
             excluded = any(r.failed for r in reports)
             sign = None
             if mode == PARANOID or not excluded:
-                # Every k that gets here needs the batch: paranoid mode builds
-                # f from it, and a fast-mode candidate that passed every filter
-                # is even and radical-admissible with ell >= 6, so it gets the
-                # collapse replay.  The batch runs on from the last k that
-                # needed one, so it costs (k - k0) * ell/2 steps, not k * ell/2.
+                # the sign and the replay read the batch; it runs on from the
+                # last k that needed one, so it costs (k - k0) * ell/2 steps
                 if sums is None:
                     sums = powersum_batch(k, ell, start=batch)
                     batch = (k, sums)
                     if mode == PARANOID:
                         _crosscheck_powersums(ell, k, sums)
                         poly = build_f(ell, k, sums)
-                sign = _settle_sign(ell, k, w, excluded, poly)
+                sign = _settle_sign(ell, k, w, excluded, sums, poly)
                 # reports[0] is the radical filter; passing it makes w even,
                 # since 2 | k(k+1), and the replay needs both
                 if ell >= 5 and not reports[0].failed:
@@ -286,8 +286,9 @@ def _consistency_scan_beyond_bound(ell: int, k_start: int, sharp: Fraction) -> N
 
 
 def _pool_size(workers: int, tasks: int) -> int:
-    """Worker processes to start: never more than the cores or the tasks."""
-    return min(workers, os.cpu_count() or 1, tasks)
+    """Worker processes to start: never more than the tasks or the cores this process may use."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(workers, cores or 1, tasks)
 
 
 def sweep(ell_min: int, ell_max: int, mode: str = FAST, workers: int = 1):

@@ -34,8 +34,8 @@ each later term is at most rho = ell^2 k^2 / ((M+3) (M+4) w^2) times the
 one before, so T_M <= t / (1 - rho) when rho < 1.  G_M < t makes the sign
 -1, G_M (1 - rho) > t makes it +1, and otherwise M grows by 2; at the last
 odd m the tail is empty and G_M is exact, zero included.  At window
-integers M stays small, so only a few S_m(k), polynomial-size integers,
-are needed and no ell-th power is formed.
+integers M stays small, so only a few S_m(k), from the caller's power-sum
+batch, are read and no ell-th power is formed.
 
 build_f and eval_f remain as the independent second route that paranoid
 mode, the root-counting oracle and the window lemmas use; balance_difference
@@ -43,7 +43,7 @@ and balance_residue compute D from the definition itself, exactly and
 modulo a prime.
 """
 
-from .powersum import powersum_batch, powersum_closed
+from .powersum import powersum_batch
 
 
 def build_f(ell: int, k: int, sums: dict[int, int] | None = None) -> tuple[tuple[int, int], ...]:
@@ -105,12 +105,13 @@ def balance_residue(n: int, k: int, ell: int, p: int) -> int:
     return (left - right) % p
 
 
-def balance_sign(ell: int, k: int, w: int) -> int:
+def balance_sign(ell: int, k: int, w: int, sums: dict[int, int]) -> int:
     """The sign of LHS - RHS at n = w - k, for ell, k, w >= 1, without ell-th powers.
 
     Truncates the expansion of D(w) after odd M and bounds the tail (see the
-    module docstring), by integer cross-multiplication only.  S_m(k) comes
-    from powersum_closed, and C(ell, m) is walked up the row as in build_f.
+    module docstring), by integer cross-multiplication only.  sums maps odd
+    m to S_m(k), as powersum_batch(k, ell) does, and C(ell, m) is walked up
+    the row as in build_f.
     """
     if ell < 1 or k < 1 or w < 1:
         raise ValueError(f"ell, k and w must all be >= 1, got {ell}, {k}, {w}")
@@ -118,11 +119,11 @@ def balance_sign(ell: int, k: int, w: int) -> int:
     w2 = w * w
     lk2 = (ell * k) ** 2
     binom = ell
-    g = w - 2 * binom * powersum_closed(k, 1)  # G_1
+    g = w - 2 * binom * sums[1]  # G_1
     m = 1
     while m < last:
         binom = binom * (ell - m) * (ell - m - 1) // ((m + 1) * (m + 2))  # C(ell, m+2)
-        head = 2 * binom * powersum_closed(k, m + 2)  # t * w^2
+        head = 2 * binom * sums[m + 2]  # t * w^2
         g_next = g * w2 - head  # G_(m+2)
         if g_next < 0:  # G_m < t <= T_m
             return -1

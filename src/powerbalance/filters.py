@@ -9,10 +9,7 @@ provably cannot solve the equation, PASS when the filter does not exclude
 it, and INCONCLUSIVE when the filter could not decide (an incomplete
 factorization).  Filters are accelerators only: the decision procedure
 never trusts a FAIL without the option of exact evaluation, and paranoid
-mode settles every filtered candidate's sign too, to confirm it is
-nonzero: the sign from equation.balance_sign must equal the sign of
-eval_f on the polynomial f, and that exact value of LHS - RHS must equal
-the definition summed in residues modulo the prime 2^61 - 1.
+mode settles every filtered candidate's sign too (see decider).
 
 check_modular_collapse is different in kind: it replays, on one concrete
 candidate, the 2-adic congruence argument that rules out solutions for

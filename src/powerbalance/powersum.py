@@ -6,9 +6,10 @@ Three routes to the same integers:
 * ``powersum_closed`` -- the Faulhaber polynomial, built once per m from the
   exact rational Bernoulli numbers and kept as integer coefficients over one
   common denominator D_m; each evaluation is Horner's rule on integers and
-  one division by D_m, whose remainder must be zero;
+  one division by D_m, whose remainder must be zero.  It is the second
+  route that paranoid mode and the lemma checks compare the batch with;
 * ``powersum_batch``  -- all S_m(k) for odd m up to a bound in one
-  incremental pass, the engine the decision procedure uses (stepping
+  incremental pass, the only route fast mode uses (stepping
   i^m -> i^(m+2) avoids recomputing every power anew).  Given a
   batch already held for some k0 <= k, it adds only the terms i^m with
   k0 < i <= k, so a caller walking k upward pays O(m_max) per step.

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import powerbalance
-from powerbalance import decider, equation
+from powerbalance import decider, equation, powersum
 from powerbalance.bounds import compute_bounds, corollary_K_bound
 from powerbalance.decider import (
     EXCLUDED_BY_EVALUATION,
@@ -164,10 +164,10 @@ def test_window_ends_render_as_reduced_fractions():
 
 def test_fast_decide_builds_no_fraction_per_window(monkeypatch):
     # every window of decide(999) stays an integer triple; the only Fraction
-    # fast mode may build is the sharp K cap from corollary_K_bound.  The
-    # Faulhaber memo builds its rational table once per process, so a first
-    # decide fills it before the count starts.
-    decide(999)
+    # fast mode may build is the sharp K cap from corollary_K_bound.  An
+    # empty Faulhaber memo would build Bernoulli Fractions if fast mode
+    # reached the closed form.
+    monkeypatch.setattr(powersum, "_FAULHABER", {})
     built = []
     real_new = Fraction.__new__
 
@@ -341,6 +341,42 @@ def test_paranoid_mode_crosschecks_every_batch(monkeypatch, corrupt, message):
         decide(27, mode=PARANOID)
 
 
+def test_fast_decide_never_reaches_faulhaber(monkeypatch):
+    ells = (27, 54, 75, 363, 1000)
+    expected = [certificate_json(decide(ell), include_timing=False) for ell in ells]
+
+    def forbidden(m):
+        raise AssertionError("fast mode must read power sums from the batch alone")
+
+    monkeypatch.setattr(powersum, "_faulhaber", forbidden)
+    for ell, text in zip(ells, expected):
+        cert = decide(ell, mode=FAST)
+        assert cert.verdict == NO_SOLUTION
+        assert certificate_json(cert, include_timing=False) == text, ell
+    with pytest.raises(AssertionError, match="batch alone"):
+        decide(27, mode=PARANOID)
+
+
+def test_paranoid_signs_read_only_faulhaber_checked_sums(monkeypatch):
+    # _crosscheck_powersums compares S_m(k) with Faulhaber for m up to
+    # _CLOSED_CHECK_M_MAX before any sign of k reads the batch, so every sum
+    # the series sign reads has been checked by that second route
+    seen = set()
+    real = decider.balance_sign
+
+    class Recording(dict):
+        def __getitem__(self, m):
+            seen.add(m)
+            return super().__getitem__(m)
+
+    monkeypatch.setattr(decider, "balance_sign",
+                        lambda ell, k, w, sums: real(ell, k, w, Recording(sums)))
+    for cert in sweep(3, 300, mode=PARANOID):
+        assert cert.verdict == NO_SOLUTION
+    assert 1 in seen
+    assert max(seen) <= decider._CLOSED_CHECK_M_MAX, sorted(seen)
+
+
 def test_paranoid_mode_rejects_disagreeing_sign_routes(monkeypatch):
     real_eval = decider.eval_f
     monkeypatch.setattr(decider, "eval_f", lambda poly, w: -real_eval(poly, w))
@@ -372,8 +408,8 @@ def _zero_balance_at(monkeypatch, k, w):
     """Make the series sign report a root at (k, w) and nowhere else."""
     real = decider.balance_sign
 
-    def patched(ell, kk, ww):
-        return 0 if (kk, ww) == (k, w) else real(ell, kk, ww)
+    def patched(ell, kk, ww, sums):
+        return 0 if (kk, ww) == (k, w) else real(ell, kk, ww, sums)
 
     monkeypatch.setattr(decider, "balance_sign", patched)
 
@@ -400,13 +436,15 @@ def test_paranoid_mode_rejects_a_root_the_filters_excluded(monkeypatch):
 
 
 def test_settle_sign_rejects_a_root_with_nonpositive_n(monkeypatch):
-    monkeypatch.setattr(decider, "balance_sign", lambda ell, k, w: 0)
+    monkeypatch.setattr(decider, "balance_sign", lambda ell, k, w, sums: 0)
     for k, w in ((3, 3), (3, 2)):
         with pytest.raises(RuntimeError, match="root with nonpositive n"):
-            decider._settle_sign(27, k, w, excluded=False, poly=None)
+            decider._settle_sign(27, k, w, excluded=False, sums={}, poly=None)
 
 
 def test_pool_size_is_capped_by_cores_and_tasks(monkeypatch):
+    # where the platform has no CPU affinity, every CPU counts
+    monkeypatch.delattr(decider.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(decider.os, "cpu_count", lambda: 4)
     assert decider._pool_size(5000, 998) == 4
     assert decider._pool_size(8, 3) == 3
@@ -414,6 +452,16 @@ def test_pool_size_is_capped_by_cores_and_tasks(monkeypatch):
     assert decider._pool_size(1, 998) == 1
     monkeypatch.setattr(decider.os, "cpu_count", lambda: None)
     assert decider._pool_size(5000, 998) == 1
+
+
+def test_pool_size_counts_only_the_cpus_this_process_may_use(monkeypatch):
+    # under taskset or a cpuset the affinity mask, not the host, sets the cap
+    monkeypatch.setattr(decider.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(decider.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert decider._pool_size(64, 998) == 1
+    monkeypatch.setattr(decider.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert decider._pool_size(64, 998) == 3
+    assert decider._pool_size(2, 998) == 2
 
 
 def test_sweep_of_one_exponent_starts_no_pool(monkeypatch):

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powerbalance import equation
 from powerbalance.bounds import (
     check_sandwich,
     compute_bounds,
@@ -24,6 +23,7 @@ from powerbalance.equation import (
     solution_family,
     verify_instance,
 )
+from powerbalance.powersum import powersum_closed
 
 
 def test_ell_and_k_validation():
@@ -125,17 +125,21 @@ def _direct_sign(ell, k, w):
     return _sign(balance_difference(w - k, k, ell))
 
 
-def _spy_on_closed_sums(monkeypatch):
-    """Record every m that balance_sign reads S_m(k) for."""
-    seen = []
-    real = equation.powersum_closed
+class _ClosedSums(dict):
+    """S_m(k) from powersum_closed, computed on first read; seen lists every m read."""
 
-    def spy(k, m):
-        seen.append(m)
-        return real(k, m)
+    def __init__(self, k):
+        super().__init__()
+        self.k = k
+        self.seen = []
 
-    monkeypatch.setattr(equation, "powersum_closed", spy)
-    return seen
+    def __getitem__(self, m):
+        self.seen.append(m)
+        return super().__getitem__(m)
+
+    def __missing__(self, m):
+        value = self[m] = powersum_closed(self.k, m)
+        return value
 
 
 def test_balance_sign_matches_direct_summation_on_every_window():
@@ -149,12 +153,13 @@ def test_balance_sign_matches_direct_summation_on_every_window():
         while k * (k + 1) <= cap:
             lower, upper, den = compute_bounds(ell, k)
             ws = integers_in_window((lower, upper, den))
+            sums = _ClosedSums(k)
             points = list(ws)
             if ws or ell <= 100:
                 low, high = lower // den, -(-upper // den)
                 points += [low - 1, low, high, high + 1]
             for w in points:
-                assert balance_sign(ell, k, w) == _direct_sign(ell, k, w), (ell, k, w)
+                assert balance_sign(ell, k, w, sums) == _direct_sign(ell, k, w), (ell, k, w)
             in_window += len(ws)
             k += 1
     assert in_window == 2743
@@ -164,9 +169,10 @@ def test_balance_sign_is_exactly_zero_at_the_family_roots():
     for ell in (1, 2):
         for k in range(1, 21):
             _, w = solution_family(ell, k)
-            assert balance_sign(ell, k, w) == 0, (ell, k)
-            assert balance_sign(ell, k, w - 1) == -1, (ell, k)
-            assert balance_sign(ell, k, w + 1) == 1, (ell, k)
+            sums = _ClosedSums(k)
+            assert balance_sign(ell, k, w, sums) == 0, (ell, k)
+            assert balance_sign(ell, k, w - 1, sums) == -1, (ell, k)
+            assert balance_sign(ell, k, w + 1, sums) == 1, (ell, k)
 
 
 @pytest.mark.parametrize(
@@ -180,38 +186,36 @@ def test_balance_sign_is_exactly_zero_at_the_family_roots():
         (9, 20, 21, -1),
     ],
 )
-def test_balance_sign_decides_early(monkeypatch, ell, k, w, sign):
-    seen = _spy_on_closed_sums(monkeypatch)
-    assert balance_sign(ell, k, w) == sign == _direct_sign(ell, k, w)
-    assert seen == [1, 3]
+def test_balance_sign_decides_early(ell, k, w, sign):
+    sums = _ClosedSums(k)
+    assert balance_sign(ell, k, w, sums) == sign == _direct_sign(ell, k, w)
+    assert sums.seen == [1, 3]
 
 
-def test_balance_sign_can_need_a_later_term(monkeypatch):
+def test_balance_sign_can_need_a_later_term():
     # at (39, 9, 3513) the first step is inconclusive and S_5 settles it
-    seen = _spy_on_closed_sums(monkeypatch)
-    assert balance_sign(39, 9, 3513) == -1 == _direct_sign(39, 9, 3513)
-    assert seen == [1, 3, 5]
+    sums = _ClosedSums(9)
+    assert balance_sign(39, 9, 3513, sums) == -1 == _direct_sign(39, 9, 3513)
+    assert sums.seen == [1, 3, 5]
 
 
-def test_balance_sign_runs_to_the_last_term_at_a_root(monkeypatch):
+def test_balance_sign_runs_to_the_last_term_at_a_root():
     # With the true power sums the loop reaches its last odd m, for ell >= 3,
     # only at an exact zero.  A table with S_3(1) = 64 gives
     # D(w) = w^3 - 6 w^2 - 128 = (w - 8)(w^2 + 2w + 16): G_3 = D(8) = 0 must
     # come out of the final, exact step, and the neighbours stay early.
-    def closed(k, m):
-        return {1: 1, 3: 64}[m]
-
-    monkeypatch.setattr(equation, "powersum_closed", closed)
-    assert [balance_sign(3, 1, w) for w in (7, 8, 9)] == [-1, 0, 1]
+    assert [balance_sign(3, 1, w, {1: 1, 3: 64}) for w in (7, 8, 9)] == [-1, 0, 1]
 
 
-def test_balance_sign_reads_only_small_power_sums_at_large_ell(monkeypatch):
-    seen = _spy_on_closed_sums(monkeypatch)
+def test_balance_sign_reads_only_small_power_sums_at_large_ell():
     ell = 99999
     signs = set()
+    seen = []
     for k in (1, 3, 10, 12, 22, 39):
+        sums = _ClosedSums(k)
         for w in integers_in_window(compute_bounds(ell, k))[:3]:
-            signs.add(balance_sign(ell, k, w))
+            signs.add(balance_sign(ell, k, w, sums))
+        seen += sums.seen
     assert signs == {-1, 1}
     assert max(seen) <= 7
 
@@ -222,13 +226,13 @@ def test_balance_sign_matches_direct_summation_off_the_windows(data):
     ell = data.draw(st.integers(1, 80), label="ell")
     k = data.draw(st.integers(1, 40), label="k")
     w = data.draw(st.integers(k + 1, 4 * ell * k * (k + 1)), label="w")
-    assert balance_sign(ell, k, w) == _direct_sign(ell, k, w)
+    assert balance_sign(ell, k, w, _ClosedSums(k)) == _direct_sign(ell, k, w)
 
 
 def test_balance_sign_rejects_nonpositive_arguments():
     for args in ((0, 1, 1), (3, 0, 1), (3, 1, 0)):
         with pytest.raises(ValueError):
-            balance_sign(*args)
+            balance_sign(*args, _ClosedSums(1))
 
 
 def test_balance_residue_is_the_difference_mod_p():

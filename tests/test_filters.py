@@ -27,6 +27,8 @@ def test_radical_filter():
     assert filter_radical(1, 16).outcome == PASS  # rad(2) = 2 divides 16
     assert filter_radical(2, 9).outcome == FAIL  # rad(6) = 6 does not divide 9
     assert filter_radical(1, 2).outcome == PASS
+    # rad(k) = 2 divides 4, but the prime 3 | k + 1 does not
+    assert filter_radical(2, 4).outcome == FAIL
 
 
 def test_center_valuation_filter():

@@ -1,0 +1,158 @@
+"""Mutation gate: each recorded fault, planted in a copy of the package, must fail its tests.
+
+    python3 tools/mutants.py
+
+Run from anywhere; only the standard library is used, and pytest runs in a
+subprocess.  Each row of MUTANTS names a file under src/powerbalance, the
+exact text to replace, its replacement and the pytest node ids that must
+each fail with it in place.  The gate first runs every named test on an
+unmutated copy, where all must pass.  Then, for each row, it copies src/,
+tests/ and pyproject.toml to a temporary directory, applies the
+replacement there and runs only that row's tests.  The repository itself
+is never edited.
+
+The gate fails (exit 1) when a named test does not pass unmutated, when a
+row's old text does not occur exactly once in its file, so that a rename
+surfaces, when a named test passes with the mutation in place (the mutant
+survives), or when pytest ends in an error rather than a test failure.
+"""
+
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "pyproject.toml")
+PACKAGE = Path("src", "powerbalance")
+# pytest's exit status when at least one selected test failed
+TESTS_FAILED = 1
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+EQ_WINDOWS = "tests/test_equation.py::test_balance_sign_matches_direct_summation_on_every_window"
+
+MUTANTS = (
+    Mutant(
+        "rho_denominator_shifted", "equation.py",
+        "g_next * (m + 3) * (m + 4) > g * lk2",
+        "g_next * (m + 5) * (m + 6) > g * lk2",
+        (EQ_WINDOWS,),
+    ),
+    Mutant(
+        "one_minus_rho_dropped", "equation.py",
+        "g_next * (m + 3) * (m + 4) > g * lk2",
+        "g_next > 0",
+        (EQ_WINDOWS,),
+    ),
+    Mutant(
+        "binomial_numerator_shifted", "equation.py",
+        "binom * (ell - m) * (ell - m - 1) // ((m + 1) * (m + 2))  # C(ell, m+2)",
+        "binom * (ell - m - 2) * (ell - m - 3) // ((m + 1) * (m + 2))  # C(ell, m+2)",
+        (EQ_WINDOWS,),
+    ),
+    Mutant(
+        "first_tail_term_from_sums_m", "equation.py",
+        "head = 2 * binom * sums[m + 2]",
+        "head = 2 * binom * sums[m]",
+        (EQ_WINDOWS,),
+    ),
+    Mutant(
+        "window_drops_its_top_integer", "bounds.py",
+        "return list(range(-(-lower // den), upper // den + 1))",
+        "return list(range(-(-lower // den), upper // den))",
+        ("tests/test_bounds.py::test_integer_window_examples",),
+    ),
+    Mutant(
+        "ratio_str_unreduced", "decider.py",
+        'return f"{p // g}/{q // g}"',
+        'return f"{p}/{q}"',
+        ("tests/test_decider.py::test_window_ends_render_as_reduced_fractions",),
+    ),
+    Mutant(
+        "collapse_s_exp_off_by_one", "filters.py",
+        "s_exp = 2 * f - 1 + 2 * g + e",
+        "s_exp = 2 * f + 2 * g + e",
+        ("tests/test_filters.py::test_collapse_holds_on_window_candidates",),
+    ),
+    Mutant(
+        "radical_filter_on_rad_k", "filters.py",
+        "r = rad(k * (k + 1))",
+        "r = rad(k)",
+        ("tests/test_filters.py::test_radical_filter",),
+    ),
+)
+
+
+def occurrences(mutant: Mutant, root: Path = ROOT) -> int:
+    """How often the row's old text occurs in its file under root."""
+    return (root / PACKAGE / mutant.file).read_text().count(mutant.old)
+
+
+def _copy(dest: Path) -> None:
+    for name in COPIED:
+        src = ROOT / name
+        if src.is_dir():
+            shutil.copytree(src, dest / name, ignore=shutil.ignore_patterns("__pycache__"))
+        else:
+            shutil.copy2(src, dest / name)
+
+
+def _pytest(cwd: Path, test: str) -> int:
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+           "-o", "addopts=", test]
+    return subprocess.run(cmd, cwd=cwd, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def run(mutants) -> list[str]:
+    """Run the gate over mutants; return one line per problem, none if all are killed."""
+    problems = []
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        base = Path(tmp, "base")
+        _copy(base)
+        for test in sorted({t for m in mutants for t in m.tests}):
+            if _pytest(base, test) != 0:
+                problems.append(f"unmutated: {test} does not pass")
+        for mutant in mutants:
+            count = occurrences(mutant, base)
+            if count != 1:
+                problems.append(f"{mutant.name}: old text occurs {count} times in {mutant.file}")
+                continue
+            work = Path(tmp, mutant.name)
+            _copy(work)
+            target = work / PACKAGE / mutant.file
+            target.write_text(target.read_text().replace(mutant.old, mutant.new))
+            for test in mutant.tests:
+                t0 = time.perf_counter()
+                status = _pytest(work, test)
+                took = time.perf_counter() - t0
+                verdict = "killed" if status == TESTS_FAILED else (
+                    "SURVIVED" if status == 0 else f"pytest exit {status}")
+                print(f"{mutant.name}: {verdict} under {test} ({took:.1f} s)", flush=True)
+                if status != TESTS_FAILED:
+                    problems.append(f"{mutant.name}: {verdict} under {test}")
+    return problems
+
+
+def main() -> int:
+    t0 = time.perf_counter()
+    problems = run(MUTANTS)
+    for line in problems:
+        print(f"FAIL {line}", file=sys.stderr)
+    print(f"{'FAIL' if problems else 'OK'}: gate took {time.perf_counter() - t0:.1f} s")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
