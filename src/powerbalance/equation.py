@@ -37,33 +37,31 @@ odd m the tail is empty and G_M is exact, zero included.  At window
 integers M stays small, so only a few S_m(k), from the caller's power-sum
 batch, are read and no ell-th power is formed.
 
-build_f and eval_f remain as the independent second route that paranoid
-mode, the root-counting oracle and the window lemmas use; balance_difference
-and balance_residue compute D from the definition itself, exactly and
-modulo a prime.
+build_f and eval_f serve the root-counting oracle, the window lemmas and the
+tests; balance_difference and interval_sign read D off the definition itself.
 """
 
 from .powersum import powersum_batch
 
+# Mantissa width, in bits, at which interval_sign first brackets each power.
+_INTERVAL_BITS = 128
 
-def build_f(ell: int, k: int, sums: dict[int, int] | None = None) -> tuple[tuple[int, int], ...]:
+
+def build_f(ell: int, k: int) -> tuple[tuple[int, int], ...]:
     """The exact coefficients of f(k, w) for ell >= 1 and k >= 1.
 
     f is returned as (exponent, coefficient) pairs by descending exponent.
     The leading coefficient is +1 and all the others are negative, so the
     sign sequence changes exactly once.
 
-    sums, if given, must be powersum_batch(k, ell); passing a batch the
-    caller already holds saves computing it again.  The odd binomials
-    C(ell, m) are walked up the row by the exact recurrence
+    The odd binomials C(ell, m) are walked up the row by the exact recurrence
     C(ell, m+2) = C(ell, m) (ell-m) (ell-m-1) / ((m+1) (m+2)).
     """
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if sums is None:
-        sums = powersum_batch(k, ell)
+    sums = powersum_batch(k, ell)
     shift = 0 if ell % 2 == 1 else 1
     coeffs = [(ell - shift, 1)]
     binom = ell
@@ -98,11 +96,37 @@ def balance_difference(n: int, k: int, ell: int) -> int:
     return left - right
 
 
-def balance_residue(n: int, k: int, ell: int, p: int) -> int:
-    """(LHS - RHS) mod p at (n, k, ell), summed from the definition in residues."""
-    left = sum(pow(n + j, ell, p) for j in range(k + 1))
-    right = sum(pow(n + j, ell, p) for j in range(k + 1, 2 * k + 1))
-    return (left - right) % p
+def _power_bounds(xs: range, ell: int, bits: int) -> tuple[list[int], list[int], int]:
+    """Lists lo, hi and one e with 0 <= lo[i] * 2^e <= xs[i]^ell <= hi[i] * 2^e, for xs >= 0.
+
+    Square and multiply, all powers at once; each step rounds every lo down
+    and every hi up by the same number of bits, so that the largest hi keeps
+    bits bits.  e = 0 means nothing was rounded, so lo = hi = the powers.
+    """
+    lows, highs, e = [1] * len(xs), [1] * len(xs), 0
+    for bit in bin(ell)[2:]:
+        lows, highs, e = [v * v for v in lows], [v * v for v in highs], 2 * e
+        if bit == "1":
+            lows, highs = [v * x for v, x in zip(lows, xs)], [v * x for v, x in zip(highs, xs)]
+        drop = max(highs).bit_length() - bits
+        if drop > 0:
+            lows, highs, e = [v >> drop for v in lows], [-(-v >> drop) for v in highs], e + drop
+    return lows, highs, e
+
+
+def interval_sign(n: int, k: int, ell: int) -> int:
+    """The sign of LHS - RHS at (n, k, ell), for n, k, ell >= 1, proven from the definition:
+    each side's _power_bounds summed, bits doubling while the two sides' sums overlap."""
+    if n < 1 or k < 1 or ell < 1:
+        raise ValueError(f"n, k and ell must all be >= 1, got {n}, {k}, {ell}")
+    bits = _INTERVAL_BITS
+    while True:
+        lows, highs, e = _power_bounds(range(n, n + 2 * k + 1), ell, bits)
+        low = sum(lows[:k + 1]) - sum(highs[k + 1:])  # low <= (LHS - RHS) / 2^e <= high
+        high = sum(highs[:k + 1]) - sum(lows[k + 1:])
+        if low > 0 or high < 0 or e == 0:  # e = 0: nothing rounded, low = high
+            return (low > 0) - (high < 0)
+        bits *= 2
 
 
 def balance_sign(ell: int, k: int, w: int, sums: dict[int, int]) -> int:

@@ -23,25 +23,27 @@ def oracle_search(ell: int, n_max: int, k_max: int) -> list[tuple[int, int]]:
     """All (n, k) with n <= n_max, k <= k_max solving the equation, ascending.
 
     Maintains both sides incrementally: stepping k -> k+1 moves one term
-    across and appends two; stepping n restarts the k run.
+    across and appends two; stepping n restarts the k run.  Only the
+    2 k_max + 1 powers of the current n are held, so memory does not grow
+    with n_max.
     """
     if ell < 1 or n_max < 1 or k_max < 1:
         raise ValueError("ell, n_max and k_max must all be >= 1")
-    top = n_max + 2 * k_max
-    power = [0] * (top + 1)
-    for x in range(1, top + 1):
-        power[x] = x**ell
+    span = 2 * k_max + 1
+    power = [x**ell for x in range(1, span + 1)]  # power[j] = (n + j)^ell
     found = []
     for n in range(1, n_max + 1):
-        left = power[n] + power[n + 1]
-        right = power[n + 2]
+        left = power[0] + power[1]
+        right = power[2]
         if left == right:
             found.append((n, 1))
         for k in range(2, k_max + 1):
-            left += power[n + k]
-            right += power[n + 2 * k - 1] + power[n + 2 * k] - power[n + k]
+            left += power[k]
+            right += power[2 * k - 1] + power[2 * k] - power[k]
             if left == right:
                 found.append((n, k))
+        power.pop(0)
+        power.append((n + span) ** ell)
     return sorted(found)
 
 

@@ -1,7 +1,9 @@
 """Command-line interface: flags, formats, exit codes."""
 
+import contextlib
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -145,6 +147,29 @@ def test_sweep_ends_quietly_when_the_reader_closes_stdout():
     proc.stdout.close()
     stderr = proc.stderr.read().decode()
     assert proc.wait(timeout=120) == 141, stderr
+    assert "Traceback" not in stderr, stderr
+
+
+def test_parallel_sweep_stops_soon_after_the_reader_closes_stdout():
+    # the exponents still queued for the workers are dropped, not decided
+    env = {**os.environ, "PYTHONPATH": str(Path(powerbalance.__file__).resolve().parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "powerbalance.cli", "sweep", "--ell-min", "3", "--ell-max", "12000",
+         "--workers", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, start_new_session=True,
+    )
+    try:
+        assert proc.stdout.readline().decode().strip() == ",".join(SWEEP_CSV_COLUMNS)
+        assert proc.stdout.readline().decode().startswith("3,")
+        proc.stdout.close()
+        code = proc.wait(timeout=30)
+    finally:
+        # the workers hold stderr open; should the sweep outlive the wait, end them too
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+    with proc.stderr:
+        stderr = proc.stderr.read().decode()
+    assert code == 141, stderr
     assert "Traceback" not in stderr, stderr
 
 

@@ -272,7 +272,7 @@ def _replayed_ks(cert):
 
 def test_fast_mode_never_builds_the_polynomial(monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("fast mode must not build or evaluate f")
+        raise AssertionError("decide must not build or evaluate f")
 
     monkeypatch.setattr(decider, "build_f", forbidden)
     monkeypatch.setattr(decider, "eval_f", forbidden)
@@ -286,6 +286,28 @@ def test_fast_mode_never_builds_the_polynomial(monkeypatch):
         # such k, in ascending order, each batch running on from the last
         assert [k for _, k, _ in calls] == replayed, ell
         assert [k0 for k0, _, _ in calls] == [0, *replayed][:-1], ell
+    # paranoid mode reads its second sign off the definition, not off f
+    for ell in (5, 27, 54, 75, 255):
+        assert decide(ell, mode=PARANOID).verdict == NO_SOLUTION
+
+
+def test_paranoid_mode_checks_every_candidate_against_the_definition_once(monkeypatch):
+    calls = []
+    real = decider.interval_sign
+
+    def spy(n, k, ell):
+        calls.append((n, k, ell))
+        return real(n, k, ell)
+
+    monkeypatch.setattr(decider, "interval_sign", spy)
+    for ell in (27, 75, 255):
+        cert = decide(ell, mode=FAST)
+        assert cert.verdict == NO_SOLUTION
+        assert calls == [], ell
+        cert = decide(ell, mode=PARANOID)
+        expected = [(ev.w - rec.k, rec.k, ell) for rec in cert.candidates for ev in rec.per_candidate]
+        assert expected and calls == expected, ell
+        calls.clear()
 
 
 @pytest.mark.parametrize(
@@ -378,9 +400,10 @@ def test_paranoid_signs_read_only_faulhaber_checked_sums(monkeypatch):
 
 
 def test_paranoid_mode_rejects_disagreeing_sign_routes(monkeypatch):
-    real_eval = decider.eval_f
-    monkeypatch.setattr(decider, "eval_f", lambda poly, w: -real_eval(poly, w))
-    with pytest.raises(RuntimeError, match="sign routes disagree"):
+    real = decider.interval_sign
+    monkeypatch.setattr(decider, "interval_sign", lambda n, k, ell: -real(n, k, ell))
+    assert decide(27, mode=FAST).verdict == NO_SOLUTION
+    with pytest.raises(RuntimeError, match="sign routes disagree: ell=27, k=1, w=56"):
         decide(27, mode=PARANOID)
 
 
@@ -394,14 +417,25 @@ def test_decide_never_sums_the_powers_exactly(monkeypatch):
         assert decide(75, mode=mode).verdict == NO_SOLUTION
 
 
-def test_paranoid_mode_checks_the_definition_modulo_a_prime(monkeypatch):
-    # a doubled f keeps every sign, so only the route from the definition
-    # itself, summed in residues, can see it
-    real_eval = decider.eval_f
-    monkeypatch.setattr(decider, "eval_f", lambda poly, w: 2 * real_eval(poly, w))
-    assert decide(27, mode=FAST).verdict == NO_SOLUTION
-    with pytest.raises(RuntimeError, match="definition route disagrees mod P"):
-        decide(27, mode=PARANOID)
+def test_paranoid_mode_rejects_a_definition_sign_wrong_at_one_candidate(monkeypatch):
+    # ell = 255 has 73 window integers; the definition route is made to
+    # disagree at the last of them only, a filter-excluded one, so the check
+    # must run at every candidate, excluded or not, and name the one it failed
+    cert = decide(255, mode=FAST)
+    last = cert.candidates[-1]
+    k, w = last.k, last.per_candidate[-1].w
+    assert last.per_candidate[-1].f_sign is None
+    real = decider.interval_sign
+
+    def wrong_once(n, kk, ell):
+        sign = real(n, kk, ell)
+        return 0 if (kk, n + kk) == (k, w) else sign
+
+    monkeypatch.setattr(decider, "interval_sign", wrong_once)
+    assert decide(255, mode=FAST).verdict == NO_SOLUTION
+    with pytest.raises(RuntimeError, match=f"sign routes disagree: ell=255, k={k}, w={w}: "
+                                           f"the series gives -?1, the definition gives 0"):
+        decide(255, mode=PARANOID)
 
 
 def _zero_balance_at(monkeypatch, k, w):
@@ -439,7 +473,10 @@ def test_settle_sign_rejects_a_root_with_nonpositive_n(monkeypatch):
     monkeypatch.setattr(decider, "balance_sign", lambda ell, k, w, sums: 0)
     for k, w in ((3, 3), (3, 2)):
         with pytest.raises(RuntimeError, match="root with nonpositive n"):
-            decider._settle_sign(27, k, w, excluded=False, sums={}, poly=None)
+            decider._settle_sign(27, k, w, excluded=False, sums={}, mode=FAST)
+        # before the definition route, which would reject n <= 0 itself
+        with pytest.raises(RuntimeError, match="root with nonpositive n"):
+            decider._settle_sign(27, k, w, excluded=False, sums={}, mode=PARANOID)
 
 
 def test_pool_size_is_capped_by_cores_and_tasks(monkeypatch):

@@ -1,4 +1,4 @@
-"""Polynomial assembly, direct verification and the solution families."""
+"""Polynomial assembly, the two sign routes, direct verification and the solution families."""
 
 import random
 from fractions import Fraction
@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from powerbalance import equation
 from powerbalance.bounds import (
     check_sandwich,
     compute_bounds,
@@ -14,11 +15,12 @@ from powerbalance.bounds import (
     integers_in_window,
 )
 from powerbalance.equation import (
+    _power_bounds,
     balance_difference,
-    balance_residue,
     balance_sign,
     build_f,
     eval_f,
+    interval_sign,
     sign_changes,
     solution_family,
     verify_instance,
@@ -145,7 +147,8 @@ class _ClosedSums(dict):
 def test_balance_sign_matches_direct_summation_on_every_window():
     # every window integer of ell <= 400 under the sharp cap, and for each
     # nonempty window floor(lower), ceil(upper) and one past each; for
-    # ell <= 100 those four points at every k, empty windows included
+    # ell <= 100 those four points at every k, empty windows included.
+    # interval_sign, the route paranoid mode checks against, at each as well
     in_window = 0
     for ell in range(3, 401):
         cap = corollary_K_bound(ell)
@@ -159,7 +162,9 @@ def test_balance_sign_matches_direct_summation_on_every_window():
                 low, high = lower // den, -(-upper // den)
                 points += [low - 1, low, high, high + 1]
             for w in points:
-                assert balance_sign(ell, k, w, sums) == _direct_sign(ell, k, w), (ell, k, w)
+                direct = _direct_sign(ell, k, w)
+                assert balance_sign(ell, k, w, sums) == direct, (ell, k, w)
+                assert interval_sign(w - k, k, ell) == direct, (ell, k, w)
             in_window += len(ws)
             k += 1
     assert in_window == 2743
@@ -235,12 +240,78 @@ def test_balance_sign_rejects_nonpositive_arguments():
             balance_sign(*args, _ClosedSums(1))
 
 
-def test_balance_residue_is_the_difference_mod_p():
-    rng = random.Random(14)
-    p = 2**61 - 1
-    for _ in range(200):
-        ell, k, n = rng.randint(1, 60), rng.randint(1, 30), rng.randint(-50, 10**6)
-        assert balance_residue(n, k, ell, p) == balance_difference(n, k, ell) % p
+def _interval_points():
+    """Window integers of ell 3..60, their outer neighbours, and the ell = 1, 2 roots."""
+    points = []
+    for ell in range(3, 61):
+        cap = corollary_K_bound(ell)
+        k = 1
+        while k * (k + 1) <= cap:
+            lower, upper, den = compute_bounds(ell, k)
+            ws = integers_in_window((lower, upper, den)) or [lower // den]
+            points += [(w - k, k, ell) for w in (ws[0] - 1, *ws, ws[-1] + 1)]
+            k += 1
+    for ell in (1, 2):
+        for k in range(1, 21):
+            n, _ = solution_family(ell, k)
+            points += [(m, k, ell) for m in (n - 1, n, n + 1) if m >= 1]
+    return points
+
+
+def test_interval_sign_is_exactly_zero_at_the_family_roots():
+    for ell in (1, 2):
+        for k in range(2, 41):  # from k = 2, so that n - 1 >= 1 for both families
+            n, _ = solution_family(ell, k)
+            assert interval_sign(n, k, ell) == 0, (ell, k)
+            assert interval_sign(n - 1, k, ell) == -1, (ell, k)
+            assert interval_sign(n + 1, k, ell) == 1, (ell, k)
+
+
+@pytest.mark.parametrize("bits", [1, 3, 8])
+def test_interval_sign_agrees_when_it_starts_at_a_few_bits(monkeypatch, bits):
+    # the brackets overlap at first, so interval_sign must double its width,
+    # and at the roots it must go on to exact sums to return 0
+    widths = []
+    real = equation._power_bounds
+
+    def recording(xs, ell, b):
+        widths.append(b)
+        return real(xs, ell, b)
+
+    monkeypatch.setattr(equation, "_INTERVAL_BITS", bits)
+    monkeypatch.setattr(equation, "_power_bounds", recording)
+    for n, k, ell in _interval_points():
+        assert interval_sign(n, k, ell) == _sign(balance_difference(n, k, ell)), (n, k, ell)
+    assert min(widths) == bits < max(widths)
+
+
+def test_power_bounds_bracket_the_power():
+    for bits in (1, 2, 3, 5, 8):
+        for ell in range(1, 40):
+            for xs in (range(0, 60), range(7, 12), range(1000, 1003)):
+                lows, highs, e = _power_bounds(xs, ell, bits)
+                powers = [x**ell for x in xs]
+                for lo, hi, power in zip(lows, highs, powers):
+                    assert 0 <= lo << e <= power <= hi << e, (xs, ell, bits)
+                if e == 0:
+                    assert lows == highs == powers, (xs, ell, bits)
+                else:
+                    assert max(highs) <= 2**bits, (xs, ell, bits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_interval_sign_matches_direct_summation_off_the_windows(data):
+    ell = data.draw(st.integers(1, 300), label="ell")
+    k = data.draw(st.integers(1, 40), label="k")
+    n = data.draw(st.integers(1, 10**6), label="n")
+    assert interval_sign(n, k, ell) == _sign(balance_difference(n, k, ell))
+
+
+def test_interval_sign_rejects_nonpositive_arguments():
+    for args in ((0, 1, 1), (1, 0, 1), (1, 1, 0), (-3, 2, 3)):
+        with pytest.raises(ValueError):
+            interval_sign(*args)
 
 
 def test_verify_instance_examples():

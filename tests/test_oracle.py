@@ -1,5 +1,7 @@
 """Brute-force search and positive-root counting."""
 
+import tracemalloc
+
 import pytest
 
 from powerbalance.equation import build_f
@@ -34,6 +36,17 @@ def test_search_cubes_come_up_empty():
 def test_incremental_updates_match_naive_recomputation():
     for ell in range(1, 5):
         assert oracle_search(ell, 40, 5) == _naive_search(ell, 40, 5), ell
+
+
+def test_search_memory_does_not_grow_with_n_max():
+    # only the 2 k_max + 1 powers of the current n are held, not all n_max of them
+    tracemalloc.start()
+    try:
+        assert oracle_search(50, 100000, 3) == []
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 def test_search_validation():

@@ -41,6 +41,7 @@ class Mutant(NamedTuple):
 
 
 EQ_WINDOWS = "tests/test_equation.py::test_balance_sign_matches_direct_summation_on_every_window"
+EQ_FEW_BITS = "tests/test_equation.py::test_interval_sign_agrees_when_it_starts_at_a_few_bits"
 
 MUTANTS = (
     Mutant(
@@ -66,6 +67,24 @@ MUTANTS = (
         "head = 2 * binom * sums[m + 2]",
         "head = 2 * binom * sums[m]",
         (EQ_WINDOWS,),
+    ),
+    Mutant(
+        "interval_upper_bound_floored", "equation.py",
+        "[-(-v >> drop) for v in highs]",
+        "[v >> drop for v in highs]",
+        ("tests/test_equation.py::test_power_bounds_bracket_the_power", EQ_FEW_BITS),
+    ),
+    Mutant(
+        "interval_shared_shift_dropped_from_the_lows", "equation.py",
+        "[v >> drop for v in lows]",
+        "lows",
+        (EQ_WINDOWS, EQ_FEW_BITS),
+    ),
+    Mutant(
+        "interval_sides_swapped_in_the_difference", "equation.py",
+        "low = sum(lows[:k + 1]) - sum(highs[k + 1:])",
+        "low = sum(highs[:k + 1]) - sum(lows[k + 1:])",
+        (EQ_FEW_BITS,),
     ),
     Mutant(
         "window_drops_its_top_integer", "bounds.py",
