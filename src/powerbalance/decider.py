@@ -28,16 +28,27 @@ sign -- serializable to JSON with all exact values rendered as decimal or
 and the elapsed time; the verdict, solutions and ell = 1, 2 family are
 derived from them.  Each window is stored as the integer triple that
 bounds.compute_bounds returns, and reduced only when it is rendered.
+
+certificate_json writes the canonical text directly, one f-string per
+window and per candidate, keys in sorted order and every string escaped by
+json.encoder.encode_basestring_ascii, the escaper json.dumps uses: the text
+is byte for byte json.dumps(tree, sort_keys=True, separators=(",", ":")) of
+the certificate's tree, which is never built.  certificate_to_dict is that
+text parsed back, so there is one renderer.
 """
 
 import json
 import os
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import islice
+from json.encoder import encode_basestring_ascii as _esc
 from math import gcd
+from operator import attrgetter
 
 from .arith import nu
 from .bounds import compute_bounds, corollary_K_bound, integers_in_window, weak_K_bound
@@ -69,6 +80,13 @@ SOLUTION = "SOLUTION"
 _CLOSED_CHECK_M_MAX = 41
 
 _FAMILY_SAMPLE_COUNT = 5
+
+# A parallel sweep keeps this many exponents per worker submitted ahead of the
+# one it yields next: enough to keep every worker busy, and its memory bounded
+# whatever the range.
+_TASKS_AHEAD_PER_WORKER = 4
+
+_by_name = attrgetter("name")
 
 
 @dataclass(frozen=True)
@@ -290,10 +308,18 @@ def sweep(ell_min: int, ell_max: int, mode: str = FAST, workers: int = 1):
 
 
 def _pool_map(task, ells: range, workers: int):
-    """One task per exponent; when the stream ends or is closed, queued exponents are dropped."""
+    """One task per exponent, with at most _TASKS_AHEAD_PER_WORKER * workers of them
+    submitted and unread; when the stream ends or is closed, queued exponents are dropped."""
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
-        yield from pool.map(task, ells)
+        todo = iter(ells)
+        ahead = _TASKS_AHEAD_PER_WORKER * workers
+        pending = deque(pool.submit(task, ell) for ell in islice(todo, ahead))
+        while pending:
+            result = pending.popleft().result()
+            for ell in islice(todo, 1):
+                pending.append(pool.submit(task, ell))
+            yield result
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -306,47 +332,44 @@ def _ratio_str(p: int, q: int) -> str:
     return f"{p // g}/{q // g}"
 
 
-def certificate_to_dict(cert: Certificate, include_timing: bool = True) -> dict:
-    """Plain-dict form of a certificate; exact values become strings."""
-    out = {
-        "schema": "1",
-        "ell": cert.ell,
-        "mode": cert.mode,
-        "verdict": cert.verdict,
-        "solutions": [[str(n), str(k)] for n, k in cert.solutions],
-        "candidates": [
-            {
-                "k": str(rec.k),
-                "window": [_ratio_str(rec.window[0], rec.window[2]),
-                           _ratio_str(rec.window[1], rec.window[2])],
-                "ws": [
-                    {
-                        "w": str(ev.w),
-                        "filters": {
-                            r.name: {"outcome": r.outcome, "detail": r.detail}
-                            for r in ev.filters
-                        },
-                        "f_sign": ev.f_sign,
-                        "status": ev.status,
-                    }
-                    for ev in rec.per_candidate
-                ],
-            }
-            for rec in cert.candidates
-        ],
-    }
-    family = cert.family
-    if family is not None:
-        out["family"] = {**family, "samples": [[str(n), str(k)] for n, k in family["samples"]]}
-    if include_timing:
-        out["elapsed_ms"] = cert.elapsed_ms
-    return out
+def _filter_json(r: FilterReport) -> str:
+    return f'{_esc(r.name)}:{{"detail":{_esc(r.detail)},"outcome":{_esc(r.outcome)}}}'
+
+
+def _evaluation_json(ev: CandidateEvaluation) -> str:
+    filters = ",".join(map(_filter_json, sorted(ev.filters, key=_by_name)))
+    sign = "null" if ev.f_sign is None else ev.f_sign
+    return f'{{"f_sign":{sign},"filters":{{{filters}}},"status":{_esc(ev.status)},"w":"{ev.w}"}}'
+
+
+def _record_json(rec: CandidateRecord) -> str:
+    lower, upper, den = rec.window
+    ws = ",".join(map(_evaluation_json, rec.per_candidate)) if rec.per_candidate else ""
+    window = f'"{_ratio_str(lower, den)}","{_ratio_str(upper, den)}"'
+    return f'{{"k":"{rec.k}","window":[{window}],"ws":[{ws}]}}'
 
 
 def certificate_json(cert: Certificate, include_timing: bool = True) -> str:
-    """Canonical one-line JSON rendering (sorted keys, no floats anywhere)."""
-    return json.dumps(
-        certificate_to_dict(cert, include_timing=include_timing),
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    """Canonical one-line JSON rendering (sorted keys, no floats anywhere).
+
+    The text is written directly, keys in sorted order, with every string
+    escaped as json.dumps escapes it, so it equals
+    json.dumps(..., sort_keys=True, separators=(",", ":")) of the same tree.
+    """
+    parts = [f'"candidates":[{",".join(map(_record_json, cert.candidates))}]']
+    if include_timing:
+        parts.append(f'"elapsed_ms":{cert.elapsed_ms}')
+    parts.append(f'"ell":{cert.ell}')
+    family = cert.family
+    if family is not None:
+        family = {**family, "samples": [[str(n), str(k)] for n, k in family["samples"]]}
+        parts.append(f'"family":{json.dumps(family, sort_keys=True, separators=(",", ":"))}')
+    solutions = ",".join(f'["{n}","{k}"]' for n, k in cert.solutions)
+    parts += [f'"mode":{_esc(cert.mode)}', '"schema":"1"', f'"solutions":[{solutions}]',
+              f'"verdict":{_esc(cert.verdict)}']
+    return "{" + ",".join(parts) + "}"
+
+
+def certificate_to_dict(cert: Certificate, include_timing: bool = True) -> dict:
+    """The certificate_json text, parsed: exact values are strings."""
+    return json.loads(certificate_json(cert, include_timing))

@@ -96,18 +96,27 @@ def balance_difference(n: int, k: int, ell: int) -> int:
     return left - right
 
 
+def _power_step(vs: list[int], xs: range, bit: str) -> list[int]:
+    """Each v squared, then times its x when bit is "1": one step of x^ell by the bits of ell."""
+    vs = [v * v for v in vs]
+    return [v * x for v, x in zip(vs, xs)] if bit == "1" else vs
+
+
 def _power_bounds(xs: range, ell: int, bits: int) -> tuple[list[int], list[int], int]:
     """Lists lo, hi and one e with 0 <= lo[i] * 2^e <= xs[i]^ell <= hi[i] * 2^e, for xs >= 0.
 
     Square and multiply, all powers at once; each step rounds every lo down
     and every hi up by the same number of bits, so that the largest hi keeps
-    bits bits.  e = 0 means nothing was rounded, so lo = hi = the powers.
+    bits bits.  e = 0 means nothing was rounded, so lo = hi = the powers,
+    and until then lo and hi are one list, squared once per step.
     """
-    lows, highs, e = [1] * len(xs), [1] * len(xs), 0
+    lows = highs = [1] * len(xs)
+    e = 0
     for bit in bin(ell)[2:]:
-        lows, highs, e = [v * v for v in lows], [v * v for v in highs], 2 * e
-        if bit == "1":
-            lows, highs = [v * x for v, x in zip(lows, xs)], [v * x for v, x in zip(highs, xs)]
+        if e == 0:
+            lows = highs = _power_step(lows, xs, bit)
+        else:
+            lows, highs, e = _power_step(lows, xs, bit), _power_step(highs, xs, bit), 2 * e
         drop = max(highs).bit_length() - bits
         if drop > 0:
             lows, highs, e = [v >> drop for v in lows], [-(-v >> drop) for v in highs], e + drop

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import random
+from concurrent.futures import Future
 from fractions import Fraction
 
 import pytest
@@ -19,12 +20,16 @@ from powerbalance.decider import (
     NO_SOLUTION,
     PARANOID,
     SOLUTIONS,
+    CandidateEvaluation,
+    CandidateRecord,
+    Certificate,
     certificate_json,
     certificate_to_dict,
     decide,
     sweep,
 )
 from powerbalance.equation import verify_instance
+from powerbalance.filters import FAIL, PASS, FilterReport
 from powerbalance.oracle import oracle_search
 from powerbalance.powersum import powersum_direct
 
@@ -509,6 +514,56 @@ def test_sweep_of_one_exponent_starts_no_pool(monkeypatch):
     assert [c.verdict for c in sweep(5, 5, workers=5000)] == [NO_SOLUTION]
 
 
+class _SpyPool:
+    """A stand-in for ProcessPoolExecutor that runs each task at submit and
+    records the most futures ever submitted and not yet read."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        self.workers, self.submitted, self.unread, self.most = max_workers, 0, set(), 0
+        self.cancel_futures = None
+        self.made.append(self)
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        self.submitted += 1
+        self.unread.add(future)
+        self.most = max(self.most, len(self.unread))
+        read = future.result
+
+        def result(timeout=None):
+            self.unread.discard(future)
+            return read(timeout)
+
+        future.result = result
+        return future
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        self.cancel_futures = cancel_futures
+
+
+def test_parallel_sweep_keeps_a_bounded_window_of_tasks_in_flight(monkeypatch):
+    monkeypatch.setattr(_SpyPool, "made", [])
+    monkeypatch.setattr(decider, "ProcessPoolExecutor", _SpyPool)
+    monkeypatch.setattr(decider, "_pool_size", lambda workers, tasks: min(workers, tasks))
+    window = decider._TASKS_AHEAD_PER_WORKER * 3
+    certs = list(sweep(3, 80, workers=3))
+    [pool] = _SpyPool.made
+    assert [c.ell for c in certs] == list(range(3, 81))
+    assert pool.workers == 3 and pool.submitted == 78
+    assert pool.most == window < 78 and not pool.unread
+    assert pool.cancel_futures is True
+    # a stream closed early has submitted only the window beyond what it yielded
+    stream = sweep(3, 80, workers=3)
+    assert [next(stream).ell for _ in range(5)] == [3, 4, 5, 6, 7]
+    stream.close()
+    pool = _SpyPool.made[1]
+    assert pool.submitted == 5 + window and pool.most == window
+    assert pool.cancel_futures is True
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sweep_rejects_an_unknown_mode_at_the_call(monkeypatch, workers):
     def forbidden(*args, **kwargs):
@@ -575,3 +630,85 @@ def test_certificate_timing_can_be_excluded():
     with_timing = certificate_to_dict(cert)
     without = certificate_to_dict(cert, include_timing=False)
     assert "elapsed_ms" in with_timing and "elapsed_ms" not in without
+
+
+def _reference_tree(cert, include_timing):
+    """The certificate as a tree of dicts, lists and strings, built field by field:
+    certificate_json must render it as json.dumps does."""
+    out = {
+        "schema": "1",
+        "ell": cert.ell,
+        "mode": cert.mode,
+        "verdict": cert.verdict,
+        "solutions": [[str(n), str(k)] for n, k in cert.solutions],
+        "candidates": [
+            {
+                "k": str(rec.k),
+                "window": [str(Fraction(rec.window[0], rec.window[2])),
+                           str(Fraction(rec.window[1], rec.window[2]))],
+                "ws": [
+                    {
+                        "w": str(ev.w),
+                        "filters": {
+                            r.name: {"outcome": r.outcome, "detail": r.detail}
+                            for r in ev.filters
+                        },
+                        "f_sign": ev.f_sign,
+                        "status": ev.status,
+                    }
+                    for ev in rec.per_candidate
+                ],
+            }
+            for rec in cert.candidates
+        ],
+    }
+    family = cert.family
+    if family is not None:
+        out["family"] = {**family, "samples": [[str(n), str(k)] for n, k in family["samples"]]}
+    if include_timing:
+        out["elapsed_ms"] = cert.elapsed_ms
+    return out
+
+
+def _assert_renders_as_the_reference(cert):
+    for timing in (True, False):
+        tree = _reference_tree(cert, timing)
+        expected = json.dumps(tree, sort_keys=True, separators=(",", ":"))
+        assert certificate_json(cert, timing) == expected, (cert.ell, timing)
+        assert certificate_to_dict(cert, timing) == tree, (cert.ell, timing)
+    # a dict keeps one entry per name, the text one per report
+    for rec in cert.candidates:
+        for ev in rec.per_candidate:
+            names = [r.name for r in ev.filters]
+            assert len(set(names)) == len(names), (cert.ell, rec.k, ev.w)
+
+
+# the large-ell benchmark workload's fixed draw, one exponent of each residue
+# mod 12 from 1001..3000
+LARGE_ELL_DRAW = (1074, 1107, 1209, 1229, 1475, 1609, 1874, 2083, 2176, 2218, 2372, 2664)
+
+
+def test_certificate_json_renders_the_reference_tree():
+    certs = [*sweep(1, 400), *sweep(3, 120, mode=PARANOID), *map(decide, LARGE_ELL_DRAW)]
+    for cert in certs:
+        _assert_renders_as_the_reference(cert)
+    assert sum(len(ev.filters) for c in certs for rec in c.candidates for ev in rec.per_candidate) > 10000
+
+
+def test_certificate_json_escapes_strings_as_json_dumps_does():
+    odd = 'a "quoted" \\ back\nslash, \u00e9 \u2211 \x00'
+    evaluations = (
+        CandidateEvaluation(12, (FilterReport("radical", FAIL, odd),
+                                 FilterReport("3f_plus_3", PASS, "plain")), None),
+        CandidateEvaluation(14, (FilterReport('na"me \u00e9', PASS, odd),), 0),
+        CandidateEvaluation(16, (), -1),
+    )
+    cert = Certificate(7, (CandidateRecord(2, (-5, 9, 6), evaluations),
+                           CandidateRecord(3, (10, 20, 5), ())), FAST, 12)
+    assert cert.verdict == SOLUTIONS
+    _assert_renders_as_the_reference(cert)
+    text = certificate_json(cert)
+    assert text.isascii() and "\n" not in text
+    ws = json.loads(text)["candidates"][0]["ws"]
+    assert ws[0]["filters"]["radical"]["detail"] == odd
+    assert ws[1]["filters"]['na"me \u00e9']["detail"] == odd

@@ -99,6 +99,19 @@ MUTANTS = (
         ("tests/test_decider.py::test_window_ends_render_as_reduced_fractions",),
     ),
     Mutant(
+        "filters_rendered_in_record_order", "decider.py",
+        "sorted(ev.filters, key=_by_name)",
+        "ev.filters",
+        ("tests/test_decider.py::test_certificate_json_renders_the_reference_tree",
+         "tests/test_decider.py::test_certificate_bytes_are_pinned"),
+    ),
+    Mutant(
+        "filter_detail_quoted_unescaped", "decider.py",
+        '"detail":{_esc(r.detail)}',
+        '"detail":"{r.detail}"',
+        ("tests/test_decider.py::test_certificate_json_escapes_strings_as_json_dumps_does",),
+    ),
+    Mutant(
         "collapse_s_exp_off_by_one", "filters.py",
         "s_exp = 2 * f - 1 + 2 * g + e",
         "s_exp = 2 * f + 2 * g + e",
