@@ -13,21 +13,24 @@ ell >= 3 the procedure is:
 
 The verdict never rests on a filter alone: a filter may only short-circuit
 the exact evaluation in fast mode, which reads every power sum from one
-route, the running powersum_batch.  Paranoid mode compares independent
-routes and raises on any disagreement.  It evaluates every candidate, so
-no filter excluded a root.  It checks each batch, before any sign reads
-it, against Carlitz-von Staudt and MacMillan-Sondow for every m and against
-Faulhaber (powersum_closed) for m <= _CLOSED_CHECK_M_MAX, well above the
-m <= 7 the series sign reads at window integers.  It requires each series
-sign to equal equation.interval_sign, the sign of LHS - RHS proven from
-the definition by integer bounds.  And it checks that every window between
-the sharp and the weak K bound is empty.  The outcome is a Certificate -- a
-machine-readable record of every window, filter outcome and evaluation
-sign -- serializable to JSON with all exact values rendered as decimal or
-"p/q" strings, never floats.  It stores ell, the per-k records, the mode
-and the elapsed time; the verdict, solutions and ell = 1, 2 family are
-derived from them.  Each window is stored as the integer triple that
-bounds.compute_bounds returns, and reduced only when it is rendered.
+route, the running powersum_batch.  Each batch's row of 2-adic valuations
+(filters.sum_valuations) is built once and read by every collapse replay
+of that k.  Paranoid mode compares independent routes and raises on any
+disagreement.  It evaluates every candidate, so no filter excluded a root.
+It checks each batch, before any sign reads it, against Carlitz-von Staudt
+for every m, against MacMillan-Sondow for every m on the shared valuation
+row, and against Faulhaber (powersum_closed) for m <= _CLOSED_CHECK_M_MAX,
+well above the m <= 7 the series sign reads at window integers.  It
+requires each series sign to equal equation.interval_sign, the sign of
+LHS - RHS proven from the definition by integer bounds.  And it checks
+that every window between the sharp and the weak K bound is empty.  The
+outcome is a Certificate -- a machine-readable record of every window,
+filter outcome and evaluation sign -- serializable to JSON with all exact
+values rendered as decimal or "p/q" strings, never floats.  It stores ell,
+the per-k records, the mode and the elapsed time; the verdict, solutions
+and ell = 1, 2 family are derived from them.  Each window is stored as the
+integer triple that bounds.compute_bounds returns, and reduced only when
+it is rendered.
 
 certificate_json writes the canonical text directly, one f-string per
 window and per candidate, keys in sorted order and every string escaped by
@@ -45,10 +48,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import islice
+from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii as _esc
 from math import gcd
-from operator import attrgetter
+from operator import attrgetter, mod, ne
 
 from .arith import nu
 from .bounds import compute_bounds, corollary_K_bound, integers_in_window, weak_K_bound
@@ -61,6 +64,7 @@ from .filters import (
     filter_g_ge_e_plus_1,
     filter_radical,
     filter_w_plus_1_primes,
+    sum_valuations,
 )
 from .powersum import powersum_batch, powersum_closed
 
@@ -172,22 +176,29 @@ def _run_filters(ell: int, k: int, w: int) -> list[FilterReport]:
     return reports
 
 
-def _crosscheck_powersums(ell: int, k: int, sums: dict[int, int]) -> None:
+def _crosscheck_powersums(ell: int, k: int, sums: dict[int, int]) -> list[int]:
     """Paranoid validation of a batch of power sums against independent facts.
 
-    Carlitz-von Staudt divisibility and the MacMillan-Sondow valuation are
-    checked for every sum in the batch; the Faulhaber closed form is
-    compared outright for the small exponents where it is affordable.
+    Carlitz-von Staudt divisibility is checked for every sum in the batch,
+    and the MacMillan-Sondow valuation nu_2(S_m(k)) = 2 nu_2(k(k+1)) - 2 for
+    every m >= 3 on the batch's valuation row, which is returned for the
+    replays to share; the Faulhaber closed form is compared outright for
+    the small exponents where it is affordable.
     """
     K = k * (k + 1)
-    f = nu(K)
-    for m, s in sums.items():
-        if s % (K // 2) != 0:
-            raise RuntimeError(f"power-sum batch failed divisibility: k={k}, m={m}")
-        if m >= 3 and nu(2 * s) != 2 * f - 1:
-            raise RuntimeError(f"power-sum batch failed 2-adic valuation: k={k}, m={m}")
-        if m <= _CLOSED_CHECK_M_MAX and s != powersum_closed(k, m):
+    half = K // 2
+    if any(map(mod, sums.values(), repeat(half))):
+        m = next(m for m, s in sums.items() if s % half)
+        raise RuntimeError(f"power-sum batch failed divisibility: k={k}, m={m}")
+    row = sum_valuations(k, sums)
+    expected = 2 * nu(K) - 2
+    if any(map(ne, islice(row, 1, None), repeat(expected))):
+        m = next(m for m, v in zip(sums, row) if m >= 3 and v != expected)
+        raise RuntimeError(f"power-sum batch failed 2-adic valuation: k={k}, m={m}")
+    for m, s in islice(sums.items(), _CLOSED_CHECK_M_MAX // 2 + 1):
+        if s != powersum_closed(k, m):
             raise RuntimeError(f"power-sum batch disagrees with closed form: k={k}, m={m}")
+    return row
 
 
 def _settle_sign(ell: int, k: int, w: int, excluded: bool, sums: dict[int, int], mode: str) -> int:
@@ -230,7 +241,7 @@ def decide(ell: int, mode: str = FAST) -> Certificate:
     while k * (k + 1) * cap_den <= cap_num:
         window = compute_bounds(ell, k)
         ws = integers_in_window(window)
-        sums = None
+        sums = valuations = None
         evaluations = []
         for w in ws:
             reports = _run_filters(ell, k, w)
@@ -238,17 +249,20 @@ def decide(ell: int, mode: str = FAST) -> Certificate:
             sign = None
             if mode == PARANOID or not excluded:
                 # the sign and the replay read the batch; it runs on from the
-                # last k that needed one, so it costs (k - k0) * ell/2 steps
+                # last k that needed one, so it costs (k - k0) * ell/2 steps.
+                # Every replay of this k shares one row of its valuations.
                 if sums is None:
                     sums = powersum_batch(k, ell, start=batch)
                     batch = (k, sums)
                     if mode == PARANOID:
-                        _crosscheck_powersums(ell, k, sums)
+                        valuations = _crosscheck_powersums(ell, k, sums)
+                    else:
+                        valuations = sum_valuations(k, sums)
                 sign = _settle_sign(ell, k, w, excluded, sums, mode)
                 # reports[0] is the radical filter; passing it makes w even,
                 # since 2 | k(k+1), and the replay needs both
                 if ell >= 5 and not reports[0].failed:
-                    reports.append(check_modular_collapse(ell, k, w, precomputed_sums=sums))
+                    reports.append(check_modular_collapse(ell, k, w, valuations))
             evaluations.append(CandidateEvaluation(w, tuple(reports), sign))
         records.append(CandidateRecord(k, window, tuple(evaluations)))
         k += 1

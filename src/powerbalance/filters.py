@@ -15,14 +15,18 @@ check_modular_collapse is different in kind: it replays, on one concrete
 candidate, the 2-adic congruence argument that rules out solutions for
 ell >= 5.  There PASS means "the contradiction is witnessed on this
 candidate" and FAIL would mean the argument's valuation bookkeeping broke
-down -- a bug flag, not an exclusion verdict.  The replay is a flat integer
-loop over odd m: nu_2 of each binomial coefficient comes from Kummer's
-theorem (popcount(m) + popcount(ell-m) - popcount(ell)) and nu_2 of each
-power sum from its lowest set bit, inline, with the part that depends only
-on ell and g added once.  It never forms C(ell, m).
+down -- a bug flag, not an exclusion verdict.  The replay adds three rows
+over odd m, element by element: the 2-adic valuations of the power sums
+(sum_valuations, built once per batch and shared by every replay of that
+k), the Kummer row popcount(m) + popcount(ell-m) of the binomial
+coefficients (kept per ell), and the part that is linear in m.  The part
+that depends only on ell and g is added once.  It never forms C(ell, m).
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import repeat
+from operator import add, and_, neg, sub
 
 from .arith import nu, odd_prime_factors, rad
 from .powersum import powersum_batch
@@ -98,12 +102,42 @@ def filter_3f_plus_3(ell: int, k: int) -> FilterReport:
     return FilterReport("3f_plus_3", PASS, f"3f + 3 = {3 * f + 3} <= ell = {ell}")
 
 
+# The low word of a power sum: its lowest set bit lies here unless the sum
+# is 0 or divisible by 2^64.
+_LOW_WORD = (1 << 64) - 1
+
+
 def _zero_power_sum(k: int, m: int):
     raise ValueError(f"power sum S_{m}({k}) = 0 at m = {m} has no 2-adic valuation")
 
 
+def sum_valuations(k: int, sums: dict[int, int]) -> list[int]:
+    """nu_2(S_m(k)) for m = 1, 3, ..., in the order of sums, a powersum_batch result.
+
+    Each valuation is read from the sum's low 64 bits, which takes constant
+    time for a positive sum, however long it is; only a sum whose low 64
+    bits are all zero is read whole.  A sum of 0 has no 2-adic valuation
+    and raises ValueError naming its m.
+    """
+    lows = list(map(and_, sums.values(), repeat(_LOW_WORD)))
+    # the lowest set bit of each low word, whose bit length less 1 is the
+    # valuation, and -1 when the word is 0
+    row = list(map(sub, map(int.bit_length, map(and_, lows, map(neg, lows))), repeat(1)))
+    if -1 in row:
+        for i, (m, s) in enumerate(sums.items()):
+            if row[i] < 0:
+                row[i] = nu(s) if s else _zero_power_sum(k, m)
+    return row
+
+
+@lru_cache(maxsize=16)
+def _kummer_row(ell: int) -> tuple[int, ...]:
+    """popcount(m) + popcount(ell - m) for every odd m from 1 up to ell."""
+    return tuple(m.bit_count() + (ell - m).bit_count() for m in range(1, ell + 1, 2))
+
+
 def check_modular_collapse(
-    ell: int, k: int, w: int, precomputed_sums: dict[int, int] | None = None
+    ell: int, k: int, w: int, valuations: list[int] | None = None
 ) -> FilterReport:
     """Replay the 2-adic collapse of the equation on one candidate.
 
@@ -121,8 +155,9 @@ def check_modular_collapse(
     When they hold, a solution would force top_m * g = e + 2f - 1.  PASS
     reports that the forced equality is false, i.e. the candidate is
     contradicted.  Any other outcome is FAIL and signals a bookkeeping bug,
-    never an accepted candidate.  A power sum of 0 in precomputed_sums has
-    no 2-adic valuation and raises ValueError naming its m.
+    never an accepted candidate.  valuations, if given, is
+    sum_valuations(k, powersum_batch(k, ell)), or a longer row; one shorter
+    than (top_m + 1) / 2 raises ValueError.
     """
     if ell < 5:
         raise ValueError(f"the collapse argument needs ell >= 5, got {ell}")
@@ -134,29 +169,31 @@ def check_modular_collapse(
     f = nu(k * (k + 1))
     g = nu(w)
     s_exp = 2 * f - 1 + 2 * g + e
-    sums = precomputed_sums if precomputed_sums is not None else powersum_batch(k, ell)
+    if valuations is None:
+        valuations = sum_valuations(k, powersum_batch(k, ell))
     shift = 1 - ell % 2  # even ell works with the w-divided equation
     top_m = ell - shift
+    count = (top_m + 1) // 2
+    if len(valuations) < count:
+        raise ValueError(f"need {count} power-sum valuations, got {len(valuations)}")
 
-    # nu_2 of each term 2 * C(ell, m) * w^(ell-m-shift) * S_m(k), from Kummer's
-    # theorem for the binomial and the lowest set bit of the power sum; the
-    # part common to every m is added once
+    # nu_2 of the term 2 * C(ell, m) * w^(ell-m-shift) * S_m(k) for m = 1, 3,
+    # ..., top_m, from Kummer's theorem for the binomial and the power sum's
+    # valuation; the part common to every m is added once
     base = 1 - ell.bit_count() + (ell - shift) * g
-    term_val = {
-        m: base + m.bit_count() + (ell - m).bit_count() - m * g + (s & -s).bit_length() - 1
-        for m in range(1, top_m + 1, 2)
-        for s in (sums[m] or _zero_power_sum(k, m),)
-    }
+    term_val = list(map(add, map(add, valuations, _kummer_row(ell)),
+                        range(base - g, base - g - 2 * g * count, -2 * g)))
 
     name = "modular_collapse"
-    for m in range(3, top_m, 2):
-        v = term_val[m]
-        if v < s_exp:
-            return FilterReport(
-                name, FAIL, f"middle term m = {m} has nu_2 = {v} < nu_2(s) = {s_exp}"
-            )
+    middle = term_val[1:-1]
+    if min(middle) < s_exp:
+        for m, v in zip(range(3, top_m, 2), middle):
+            if v < s_exp:
+                return FilterReport(
+                    name, FAIL, f"middle term m = {m} has nu_2 = {v} < nu_2(s) = {s_exp}"
+                )
     m1_expected = e + (top_m - 1) * g + f
-    m1 = term_val[1]
+    m1 = term_val[0]
     if m1 != m1_expected:
         return FilterReport(
             name, FAIL, f"m = 1 term has nu_2 = {m1},  expected exactly {m1_expected}"
@@ -166,7 +203,7 @@ def check_modular_collapse(
             name, FAIL, f"m = 1 term has nu_2 = {m1} < nu_2(s) = {s_exp}, no collapse"
         )
     top_expected = e + 2 * f - 1
-    top = term_val[top_m]
+    top = term_val[-1]
     if top != top_expected:
         return FilterReport(
             name, FAIL, f"last term has nu_2 = {top}, expected exactly {top_expected}"

@@ -9,10 +9,12 @@ Three routes to the same integers:
   one division by D_m, whose remainder must be zero.  It is the second
   route that paranoid mode and the lemma checks compare the batch with;
 * ``powersum_batch``  -- all S_m(k) for odd m up to a bound in one
-  incremental pass, the only route fast mode uses (stepping
-  i^m -> i^(m+2) avoids recomputing every power anew).  Given a
-  batch already held for some k0 <= k, it adds only the terms i^m with
-  k0 < i <= k, so a caller walking k upward pays O(m_max) per step.
+  incremental pass, the only route fast mode uses.  Each new i steps its
+  row i, i^3, i^5, ... by one multiplication by i^2 at a time, lazily
+  (itertools.accumulate), and the rows are summed with the base row one m
+  at a time, so no list of powers is held per i.  Given a batch already
+  held for some k0 <= k, it adds only the terms i^m with k0 < i <= k, so
+  a caller walking k upward pays O(m_max) per step.
 
 Two classical congruence/valuation facts about these sums are exposed as
 checkable predicates: Carlitz-von Staudt (k(k+1)/2 divides S_m(k) for odd m)
@@ -20,7 +22,9 @@ and MacMillan-Sondow (nu_2(2*S_m(k)) = 2*nu_2(k(k+1)) - 1 for odd m >= 3).
 """
 
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import comb, lcm
+from operator import add, mul
 
 from .arith import nu
 
@@ -111,14 +115,15 @@ def powersum_batch(
     k0, base = start if start is not None else (0, None)
     if not 0 <= k0 <= k:
         raise ValueError(f"start must lie in 0..{k}, got {k0}")
-    out: dict[int, int] = {}
-    powers = list(range(k0 + 1, k + 1))
-    steps = [i * i for i in powers]
-    for m in range(1, m_max + 1, 2):
-        out[m] = sum(powers) if base is None else base[m] + sum(powers)
-        for i, step in enumerate(steps):
-            powers[i] *= step
-    return out
+    odd_ms = range(1, m_max + 1, 2)
+    if base is not None and len(base) != len(odd_ms):
+        raise ValueError(f"start must hold {len(odd_ms)} sums, got {len(base)}")
+    rows = [accumulate(repeat(i * i, len(odd_ms) - 1), mul, initial=i)
+            for i in range(k0 + 1, k + 1)]
+    if base is not None:
+        rows.append(base.values())
+    sums = map(add, *rows) if len(rows) == 2 else map(sum, zip(*rows))
+    return dict(zip(odd_ms, sums))
 
 
 def check_carlitz_von_staudt(k: int, m: int) -> bool:

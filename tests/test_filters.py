@@ -19,6 +19,7 @@ from powerbalance.filters import (
     filter_g_ge_e_plus_1,
     filter_radical,
     filter_w_plus_1_primes,
+    sum_valuations,
 )
 from powerbalance.powersum import powersum_batch
 
@@ -84,11 +85,55 @@ def test_collapse_preconditions():
 @pytest.mark.parametrize("m", [1, 3, 5, 7])
 def test_collapse_rejects_a_zero_power_sum(m):
     # a zero sum has no 2-adic valuation; read off its lowest set bit it
-    # would pass as -1 and turn into a FAIL report, not an error
+    # would pass as -1 and turn into a FAIL report, not an error.  The
+    # replay reads its valuations from sum_valuations, which raises first
     sums = powersum_batch(7, 7)
     sums[m] = 0
     with pytest.raises(ValueError, match=f"at m = {m} "):
-        check_modular_collapse(7, 7, 14, precomputed_sums=sums)
+        sum_valuations(7, sums)
+
+
+def test_sum_valuations_read_sums_past_the_low_word_exactly():
+    # 3 * 2^64 and 2^130 have all 64 low bits zero and take the exact route;
+    # the others are read from their low word
+    sums = {1: 3 * 2**64, 3: 2**130, 5: 12, 7: 5 * 2**63, 9: 2**64 + 2**3}
+    assert sum_valuations(1, sums) == [64, 130, 2, 63, 3]
+    assert sum_valuations(1, sums) == [nu(s) for s in sums.values()]
+
+
+def test_sum_valuations_with_one_sum_past_the_low_word():
+    sums = {1: 6, 3: 7 * 2**70, 5: 2**64 + 1, 7: 2**700 + 2**63}
+    assert sum_valuations(1, sums) == [1, 70, 0, 63]
+
+
+def test_sum_valuations_match_nu_on_true_and_shifted_batches():
+    for k in (1, 2, 7, 63, 64, 1000):
+        sums = powersum_batch(k, 41)
+        assert sum_valuations(k, sums) == [nu(s) for s in sums.values()], k
+        shifted = {m: s << (60 + m) for m, s in sums.items()}
+        assert sum_valuations(k, shifted) == [nu(s) for s in shifted.values()], k
+
+
+@pytest.mark.parametrize("position", range(6))
+def test_sum_valuations_name_the_m_of_a_zero_sum(position):
+    # the entries before the zero include two that take the exact route
+    sums = dict(zip(range(1, 12, 2), [3 * 2**64, 2**130, 12, 2**64 + 5, 7, 2**200]))
+    m = 2 * position + 1
+    sums[m] = 0
+    with pytest.raises(ValueError, match=f"S_{m}\\(9\\) = 0 at m = {m} "):
+        sum_valuations(9, sums)
+
+
+def test_collapse_rejects_a_short_valuation_row():
+    # a row one short would drop the top term from the replay unseen
+    for ell, k, w in ((7, 7, 14), (8, 1, 16), (9, 2, 54)):
+        report = check_modular_collapse(ell, k, w)
+        assert check_modular_collapse(ell, k, w, sum_valuations(k, powersum_batch(k, ell))) == report
+        # a longer row's tail is not read
+        assert check_modular_collapse(ell, k, w, sum_valuations(k, powersum_batch(k, ell + 4))) == report
+        short = sum_valuations(k, powersum_batch(k, ell - 2))
+        with pytest.raises(ValueError, match="power-sum valuations"):
+            check_modular_collapse(ell, k, w, short)
 
 
 def _window_candidates(ell_range, k_max):
@@ -172,9 +217,13 @@ def test_collapse_matches_reference_on_every_sweep_replay(monkeypatch):
     replays = []
     real = decider.check_modular_collapse
 
-    def compare(ell, k, w, precomputed_sums=None):
-        report = real(ell, k, w, precomputed_sums=precomputed_sums)
-        assert report == _reference_collapse(ell, k, w, precomputed_sums), (ell, k, w)
+    def compare(ell, k, w, valuations=None):
+        report = real(ell, k, w, valuations)
+        # the shared row equals the valuations of a batch built afresh, and
+        # the report equals the reference replay on those sums
+        sums = powersum_batch(k, ell)
+        assert valuations == [nu(s) for s in sums.values()], (ell, k)
+        assert report == _reference_collapse(ell, k, w, sums), (ell, k, w)
         replays.append(report.outcome)
         return report
 
@@ -189,9 +238,9 @@ def test_collapse_flags_an_odd_middle_power_sum():
     # k = 7, w = 14: f = nu_2(56) = 3 > g + 1 = 2, so an odd S_3 drops the
     # m = 3 term below nu_2(s); every true S_m has nu_2 = 2f - 2 = 4
     sums = powersum_batch(7, 7)
-    assert check_modular_collapse(7, 7, 14, precomputed_sums=sums).outcome == PASS
+    assert check_modular_collapse(7, 7, 14, sum_valuations(7, sums)).outcome == PASS
     sums[3] = 1
-    report = check_modular_collapse(7, 7, 14, precomputed_sums=sums)
+    report = check_modular_collapse(7, 7, 14, sum_valuations(7, sums))
     assert report == FilterReport(
         "modular_collapse", FAIL, "middle term m = 3 has nu_2 = 5 < nu_2(s) = 7"
     )
@@ -220,9 +269,12 @@ def test_collapse_matches_reference_on_every_exit_at_both_parities():
                 for corrupt in corruptions:
                     variants.append({**true_sums, m: corrupt(true_sums[m])})
             r = rad(k * (k + 1))
+            rows = [sum_valuations(k, sums) for sums in variants]
+            for row, sums in zip(rows, variants):
+                assert row == [nu(s) for s in sums.values()], (ell, k, sums)
             for w in range(r, 9 * r, r):
-                for sums in variants:
-                    report = check_modular_collapse(ell, k, w, precomputed_sums=sums)
+                for row, sums in zip(rows, variants):
+                    report = check_modular_collapse(ell, k, w, row)
                     assert report == _reference_collapse(ell, k, w, sums), (ell, k, w, sums)
                     seen[ell % 2].add(_collapse_exit(report))
     every_exit = {"pass", "middle", "m1 exact", "m1 below s", "last", "forced"}

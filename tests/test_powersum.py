@@ -1,6 +1,8 @@
 """Power sums: the two engines agree, and the classical facts hold."""
 
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -127,6 +129,24 @@ def test_batch_validation():
         powersum_batch(3, 5, start=(4, powersum_batch(4, 5)))
     with pytest.raises(ValueError):
         powersum_batch(3, 5, start=(-1, {}))
+    with pytest.raises(ValueError, match="must hold 3 sums"):
+        powersum_batch(3, 5, start=(2, powersum_batch(2, 3)))
+
+
+@pytest.mark.parametrize("new_terms", [1, 3])
+def test_batch_peaks_below_one_and_a_half_times_its_result(new_terms):
+    # the batch steps each new i's powers lazily and sums them with the base
+    # one m at a time; a list of powers per new i would double the peak
+    k, m_max = 40, 4001
+    base = powersum_batch(k - new_terms, m_max)
+    tracemalloc.start()
+    try:
+        out = powersum_batch(k, m_max, start=(k - new_terms, base))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out[m_max] == base[m_max] + sum(i**m_max for i in range(k - new_terms + 1, k + 1))
+    assert peak <= 1.5 * sum(sys.getsizeof(v) for v in out.values())
 
 
 def test_strictly_increasing_in_k_and_m():

@@ -118,6 +118,31 @@ MUTANTS = (
         ("tests/test_filters.py::test_collapse_holds_on_window_candidates",),
     ),
     Mutant(
+        "valuation_exact_route_dropped", "filters.py",
+        "row[i] = nu(s) if s else _zero_power_sum(k, m)",
+        "row[i] = -1 if s else _zero_power_sum(k, m)",
+        ("tests/test_filters.py::test_sum_valuations_read_sums_past_the_low_word_exactly",
+         "tests/test_filters.py::test_sum_valuations_with_one_sum_past_the_low_word"),
+    ),
+    Mutant(
+        "collapse_middle_check_skips_m_3", "filters.py",
+        "middle = term_val[1:-1]",
+        "middle = term_val[2:-1]",
+        ("tests/test_filters.py::test_collapse_flags_an_odd_middle_power_sum",),
+    ),
+    Mutant(
+        "kummer_row_shifted_by_2", "filters.py",
+        "for m in range(1, ell + 1, 2))",
+        "for m in range(3, ell + 3, 2))",
+        ("tests/test_filters.py::test_collapse_holds_on_window_candidates",),
+    ),
+    Mutant(
+        "batch_ignores_its_base_row", "powersum.py",
+        "rows.append(base.values())",
+        "pass",
+        ("tests/test_powersum.py::test_batch_advances_from_a_previous_batch",),
+    ),
+    Mutant(
         "radical_filter_on_rad_k", "filters.py",
         "r = rad(k * (k + 1))",
         "r = rad(k)",
