@@ -15,7 +15,9 @@ The verdict never rests on a filter alone: a filter may only short-circuit
 the exact evaluation in fast mode, which reads every power sum from one
 route, the running powersum_batch.  Each batch's row of 2-adic valuations
 (filters.sum_valuations) is built once and read by every collapse replay
-of that k.  Paranoid mode compares independent routes and raises on any
+of that k.  The radical filter is the replay's one gate: every evaluated
+candidate that passes it is replayed, on g = nu_2(w) rather than w.
+Paranoid mode compares independent routes and raises on any
 disagreement.  It evaluates every candidate, so no filter excluded a root.
 It checks each batch, before any sign reads it, against Carlitz-von Staudt
 for every m, against MacMillan-Sondow for every m on the shared valuation
@@ -36,8 +38,7 @@ certificate_json writes the canonical text directly, one f-string per
 window and per candidate, keys in sorted order and every string escaped by
 json.encoder.encode_basestring_ascii, the escaper json.dumps uses: the text
 is byte for byte json.dumps(tree, sort_keys=True, separators=(",", ":")) of
-the certificate's tree, which is never built.  certificate_to_dict is that
-text parsed back, so there is one renderer.
+the certificate's tree, which is never built.
 """
 
 import json
@@ -259,10 +260,11 @@ def decide(ell: int, mode: str = FAST) -> Certificate:
                     else:
                         valuations = sum_valuations(k, sums)
                 sign = _settle_sign(ell, k, w, excluded, sums, mode)
-                # reports[0] is the radical filter; passing it makes w even,
-                # since 2 | k(k+1), and the replay needs both
-                if ell >= 5 and not reports[0].failed:
-                    reports.append(check_modular_collapse(ell, k, w, valuations))
+                # reports[0] is the radical filter; passing it makes g >= 1,
+                # since 2 | k(k+1), which is all the replay needs.  The sharp
+                # cap admits no k below ell = 8, so ell >= 5 holds here
+                if not reports[0].failed:
+                    reports.append(check_modular_collapse(ell, k, nu(w), valuations))
             evaluations.append(CandidateEvaluation(w, tuple(reports), sign))
         records.append(CandidateRecord(k, window, tuple(evaluations)))
         k += 1
@@ -383,7 +385,3 @@ def certificate_json(cert: Certificate, include_timing: bool = True) -> str:
               f'"verdict":{_esc(cert.verdict)}']
     return "{" + ",".join(parts) + "}"
 
-
-def certificate_to_dict(cert: Certificate, include_timing: bool = True) -> dict:
-    """The certificate_json text, parsed: exact values are strings."""
-    return json.loads(certificate_json(cert, include_timing))

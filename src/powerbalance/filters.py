@@ -15,10 +15,13 @@ check_modular_collapse is different in kind: it replays, on one concrete
 candidate, the 2-adic congruence argument that rules out solutions for
 ell >= 5.  There PASS means "the contradiction is witnessed on this
 candidate" and FAIL would mean the argument's valuation bookkeeping broke
-down -- a bug flag, not an exclusion verdict.  The replay adds three rows
-over odd m, element by element: the 2-adic valuations of the power sums
-(sum_valuations, built once per batch and shared by every replay of that
-k), the Kummer row popcount(m) + popcount(ell-m) of the binomial
+down -- a bug flag, not an exclusion verdict.  It takes (ell, k, g) and
+the row of 2-adic valuations of the power sums (sum_valuations, built
+once per batch by the caller and shared by every replay of that k), never
+w itself.  Callers gate it on the radical filter alone, whose PASS makes
+g >= 1.
+The replay adds three rows over odd m, element by element: that valuation
+row, the Kummer row popcount(m) + popcount(ell-m) of the binomial
 coefficients (kept per ell), and the part that is linear in m.  The part
 that depends only on ell and g is added once.  It never forms C(ell, m).
 """
@@ -29,7 +32,8 @@ from itertools import repeat
 from operator import add, and_, neg, sub
 
 from .arith import nu, odd_prime_factors, rad
-from .powersum import powersum_batch
+# powersum_batch is unused here, but bench/spans.py patches the name in this module
+from .powersum import powersum_batch  # noqa: F401
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -136,10 +140,12 @@ def _kummer_row(ell: int) -> tuple[int, ...]:
     return tuple(m.bit_count() + (ell - m).bit_count() for m in range(1, ell + 1, 2))
 
 
-def check_modular_collapse(
-    ell: int, k: int, w: int, valuations: list[int] | None = None
-) -> FilterReport:
+def check_modular_collapse(ell: int, k: int, g: int, valuations: list[int]) -> FilterReport:
     """Replay the 2-adic collapse of the equation on one candidate.
+
+    g = nu_2(w) >= 1 and valuations = sum_valuations(k, powersum_batch(k, ell)),
+    or a longer row; one shorter than (top_m + 1) / 2 raises ValueError.  The
+    report is a function of (ell, k, g) and that row alone.
 
     Write the equation as top_power(w) = sum of terms over odd m <= top_m.
     Even ell works with the equation divided by w, so with shift = 1 for
@@ -155,22 +161,15 @@ def check_modular_collapse(
     When they hold, a solution would force top_m * g = e + 2f - 1.  PASS
     reports that the forced equality is false, i.e. the candidate is
     contradicted.  Any other outcome is FAIL and signals a bookkeeping bug,
-    never an accepted candidate.  valuations, if given, is
-    sum_valuations(k, powersum_batch(k, ell)), or a longer row; one shorter
-    than (top_m + 1) / 2 raises ValueError.
+    never an accepted candidate.
     """
     if ell < 5:
         raise ValueError(f"the collapse argument needs ell >= 5, got {ell}")
-    if w % 2 != 0:
-        raise ValueError(f"w must be even, got {w}")
-    if filter_radical(k, w).failed:
-        raise ValueError(f"rad(k(k+1)) must divide w, got k = {k}, w = {w}")
+    if g < 1:
+        raise ValueError(f"g = nu_2(w) must be >= 1, got {g}")
     e = nu(ell)
     f = nu(k * (k + 1))
-    g = nu(w)
     s_exp = 2 * f - 1 + 2 * g + e
-    if valuations is None:
-        valuations = sum_valuations(k, powersum_batch(k, ell))
     shift = 1 - ell % 2  # even ell works with the w-divided equation
     top_m = ell - shift
     count = (top_m + 1) // 2
@@ -196,7 +195,7 @@ def check_modular_collapse(
     m1 = term_val[0]
     if m1 != m1_expected:
         return FilterReport(
-            name, FAIL, f"m = 1 term has nu_2 = {m1},  expected exactly {m1_expected}"
+            name, FAIL, f"m = 1 term has nu_2 = {m1}, expected exactly {m1_expected}"
         )
     if m1 < s_exp:
         return FilterReport(

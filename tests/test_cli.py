@@ -6,10 +6,15 @@ import os
 import signal
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import powerbalance
+from powerbalance import cli
 from powerbalance.cli import SWEEP_CSV_COLUMNS, main
+from powerbalance.filters import FAIL, FilterReport
 
 
 def run(capsys, *argv):
@@ -181,18 +186,75 @@ def test_lemmas_pass(capsys):
     assert "macmillan-sondow: PASS" in out
 
 
+LEMMAS = ("carlitz-von-staudt", "macmillan-sondow", "sandwich", "appendix", "modular-collapse")
+SMALL_LEMMA_RANGES = ("--k-max", "12", "--m-max", "9", "--ell-max", "12", "--samples", "20")
+
+
 def test_lemmas_all(capsys):
-    code, out = run(
-        capsys,
-        "lemmas",
-        "--k-max", "12",
-        "--m-max", "9",
-        "--ell-max", "12",
-        "--samples", "20",
-    )
+    code, out = run(capsys, "lemmas", *SMALL_LEMMA_RANGES)
     assert code == 0
-    for name in ("carlitz-von-staudt", "macmillan-sondow", "sandwich", "appendix", "modular-collapse"):
+    for name in LEMMAS:
         assert f"{name}: PASS" in out
+
+
+# each runner's predicate in cli, a point it reaches under SMALL_LEMMA_RANGES,
+# what the predicate returns there when planted to fail, and the line printed
+FAILING_POINTS = [
+    ("carlitz-von-staudt", "check_carlitz_von_staudt", (3, 5), False,
+     "k=3, m=5: k(k+1)/2 does not divide S_m(k)"),
+    ("macmillan-sondow", "check_macmillan_sondow", (4, 7), False,
+     "k=4, m=7: nu_2(2 S_m(k)) != 2 nu_2(k(k+1)) - 1"),
+    ("sandwich", "check_sandwich", (5, 2), False, "ell=5, k=2: root escapes the exact window"),
+    ("appendix", "check_appendix_identity", (Fraction(8), Fraction(2)), False,
+     "ell=8, K=2: inequality chain lines disagree"),
+    # (ell, k, g) of the fixed point w = 54
+    ("modular-collapse", "check_modular_collapse", (9, 2, 1),
+     FilterReport("modular_collapse", FAIL, "planted"), "ell=9, k=2, w=54: planted"),
+]
+
+
+@pytest.mark.parametrize("name, predicate, point, failed, message", FAILING_POINTS)
+def test_lemmas_report_a_planted_failure(capsys, monkeypatch, name, predicate, point, failed, message):
+    real = getattr(cli, predicate)
+
+    def planted(*args):
+        return failed if args[:len(point)] == point else real(*args)
+
+    monkeypatch.setattr(cli, predicate, planted)
+    code, out = run(capsys, "lemmas", "--lemma", name, *SMALL_LEMMA_RANGES)
+    assert (code, out) == (1, f"{name}: FAIL: {message}\n")
+    # the other four still run and pass
+    code, out = run(capsys, "lemmas", "--lemma", "all", *SMALL_LEMMA_RANGES)
+    expected = [f"{n}: FAIL: {message}" if n == name else f"{n}: PASS" for n in LEMMAS]
+    assert (code, out.splitlines()) == (1, expected)
+
+
+def test_lemma_collapse_replays_window_integers_on_one_row_per_pair(capsys, monkeypatch):
+    batches, replays = [], []
+    real_batch, real_replay = cli.powersum_batch, cli.check_modular_collapse
+
+    def batch(k, m_max):
+        batches.append((m_max, k))
+        return real_batch(k, m_max)
+
+    def replay(ell, k, g, valuations):
+        replays.append((ell, k))
+        return real_replay(ell, k, g, valuations)
+
+    monkeypatch.setattr(cli, "powersum_batch", batch)
+    monkeypatch.setattr(cli, "check_modular_collapse", replay)
+    fixed = {(8, 1), (5, 1), (9, 2)}
+    # the default flags, then a range where a window holds two radical passes
+    for flags in ((), ("--ell-max", "316", "--k-max", "1")):
+        batches.clear()
+        replays.clear()
+        code, out = run(capsys, "lemmas", "--lemma", "modular-collapse", *flags)
+        assert (code, out) == (0, "modular-collapse: PASS\n")
+        # one row for each (ell, k) that is replayed, built once
+        assert len(set(batches)) == len(batches)
+        assert set(batches) == set(replays)
+        assert set(replays) - fixed, flags  # window integers, not the fixed points alone
+    assert len(replays) > len(batches)
 
 
 def test_lemmas_rejects_unknown_name(capsys):
@@ -203,7 +265,7 @@ def test_lemmas_rejects_unknown_name(capsys):
 def test_lemmas_help_names_every_lemma(capsys):
     code, out = run(capsys, "lemmas", "--help")
     assert code == 0
-    for name in ("carlitz-von-staudt", "macmillan-sondow", "sandwich", "appendix", "modular-collapse"):
+    for name in LEMMAS:
         assert name in out
 
 

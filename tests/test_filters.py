@@ -67,19 +67,24 @@ def test_exponent_budget_filter():
         filter_3f_plus_3(2, 1)
 
 
+def _row(k, ell):
+    return sum_valuations(k, powersum_batch(k, ell))
+
+
 def test_collapse_examples():
-    assert check_modular_collapse(8, 1, 16).outcome == PASS
-    assert check_modular_collapse(5, 1, 10).outcome == PASS
-    assert check_modular_collapse(9, 2, 54).outcome == PASS
+    for ell, k, w in ((8, 1, 16), (5, 1, 10), (9, 2, 54)):
+        report = check_modular_collapse(ell, k, nu(w), _row(k, ell))
+        assert report.outcome == PASS, (ell, k, w)
+        assert report == _reference_collapse(ell, k, nu(w), powersum_batch(k, ell)), (ell, k, w)
 
 
 def test_collapse_preconditions():
-    with pytest.raises(ValueError):
-        check_modular_collapse(8, 1, 15)  # odd w
-    with pytest.raises(ValueError):
-        check_modular_collapse(4, 1, 16)  # ell too small
-    with pytest.raises(ValueError):
-        check_modular_collapse(8, 2, 16)  # rad(6) does not divide 16
+    with pytest.raises(ValueError, match="g = nu_2"):
+        check_modular_collapse(8, 1, nu(15), _row(1, 8))  # odd w has g = 0
+    with pytest.raises(ValueError, match="ell >= 5"):
+        check_modular_collapse(4, 1, nu(16), _row(1, 4))  # ell too small
+    with pytest.raises(TypeError):
+        check_modular_collapse(8, 1, nu(16))  # the row is not optional
 
 
 @pytest.mark.parametrize("m", [1, 3, 5, 7])
@@ -127,13 +132,13 @@ def test_sum_valuations_name_the_m_of_a_zero_sum(position):
 def test_collapse_rejects_a_short_valuation_row():
     # a row one short would drop the top term from the replay unseen
     for ell, k, w in ((7, 7, 14), (8, 1, 16), (9, 2, 54)):
-        report = check_modular_collapse(ell, k, w)
-        assert check_modular_collapse(ell, k, w, sum_valuations(k, powersum_batch(k, ell))) == report
+        g = nu(w)
+        report = check_modular_collapse(ell, k, g, _row(k, ell))
+        assert report == _reference_collapse(ell, k, g, powersum_batch(k, ell))
         # a longer row's tail is not read
-        assert check_modular_collapse(ell, k, w, sum_valuations(k, powersum_batch(k, ell + 4))) == report
-        short = sum_valuations(k, powersum_batch(k, ell - 2))
+        assert check_modular_collapse(ell, k, g, _row(k, ell + 4)) == report
         with pytest.raises(ValueError, match="power-sum valuations"):
-            check_modular_collapse(ell, k, w, short)
+            check_modular_collapse(ell, k, g, _row(k, ell - 2))
 
 
 def _window_candidates(ell_range, k_max):
@@ -147,9 +152,9 @@ def test_collapse_holds_on_window_candidates():
     # every admissible window integer must witness the contradiction
     checked = 0
     for ell, k, w in _window_candidates(range(5, 41), 20):
-        if w % 2 != 0 or filter_radical(k, w).failed:
+        if filter_radical(k, w).failed:  # which every odd w does
             continue
-        assert check_modular_collapse(ell, k, w).outcome == PASS, (ell, k, w)
+        assert check_modular_collapse(ell, k, nu(w), _row(k, ell)).outcome == PASS, (ell, k, w)
         checked += 1
     assert checked >= 1  # the scan is not vacuous over this range
 
@@ -162,12 +167,11 @@ def test_center_valuation_failures_are_never_roots():
             assert eval_f(build_f(ell, k), w) != 0, (ell, k, w)
 
 
-def _reference_collapse(ell, k, w, sums):
+def _reference_collapse(ell, k, g, sums):
     """The replay with one nu2_binomial and one nu call per odd m."""
     even = ell % 2 == 0
     e = nu(ell)
     f = nu(k * (k + 1))
-    g = nu(w)
     s_exp = (2 * f - 1) + 2 * g + (e if even else 0)
     shift = 1 if even else 0
     top_m = ell - 1 if even else ell
@@ -186,7 +190,7 @@ def _reference_collapse(ell, k, w, sums):
     m1 = term_val(1)
     if m1 != m1_expected:
         return FilterReport(
-            name, FAIL, f"m = 1 term has nu_2 = {m1},  expected exactly {m1_expected}"
+            name, FAIL, f"m = 1 term has nu_2 = {m1}, expected exactly {m1_expected}"
         )
     if m1 < s_exp:
         return FilterReport(
@@ -214,22 +218,31 @@ def _reference_collapse(ell, k, w, sums):
 
 
 def test_collapse_matches_reference_on_every_sweep_replay(monkeypatch):
-    replays = []
+    batches = {}
     real = decider.check_modular_collapse
 
-    def compare(ell, k, w, valuations=None):
-        report = real(ell, k, w, valuations)
-        # the shared row equals the valuations of a batch built afresh, and
-        # the report equals the reference replay on those sums
-        sums = powersum_batch(k, ell)
+    def compare(ell, k, g, valuations):
+        # the shared row equals the valuations of a batch built afresh
+        sums = batches[ell, k] = powersum_batch(k, ell)
         assert valuations == [nu(s) for s in sums.values()], (ell, k)
-        assert report == _reference_collapse(ell, k, w, sums), (ell, k, w)
-        replays.append(report.outcome)
-        return report
+        return real(ell, k, g, valuations)
 
     monkeypatch.setattr(decider, "check_modular_collapse", compare)
-    for _ in decider.sweep(3, 1000):
-        pass
+    replays = []
+    for cert in decider.sweep(3, 1000):
+        for rec in cert.candidates:
+            for ev in rec.per_candidate:
+                reports = {r.name: r for r in ev.filters}
+                # the radical filter is the replay's one gate: a candidate
+                # carries a replay exactly when it is evaluated and passes it
+                replayed = "modular_collapse" in reports
+                gated = ev.f_sign is not None and reports["radical"].outcome == PASS
+                assert replayed == gated, (cert.ell, rec.k, ev.w)
+                if replayed:
+                    # the report equals the reference replay at g = nu_2(w)
+                    expected = _reference_collapse(cert.ell, rec.k, nu(ev.w), batches[cert.ell, rec.k])
+                    assert reports["modular_collapse"] == expected, (cert.ell, rec.k, ev.w)
+                    replays.append(expected.outcome)
     assert len(replays) == 1249
     assert set(replays) == {PASS}
 
@@ -238,13 +251,13 @@ def test_collapse_flags_an_odd_middle_power_sum():
     # k = 7, w = 14: f = nu_2(56) = 3 > g + 1 = 2, so an odd S_3 drops the
     # m = 3 term below nu_2(s); every true S_m has nu_2 = 2f - 2 = 4
     sums = powersum_batch(7, 7)
-    assert check_modular_collapse(7, 7, 14, sum_valuations(7, sums)).outcome == PASS
+    assert check_modular_collapse(7, 7, nu(14), sum_valuations(7, sums)).outcome == PASS
     sums[3] = 1
-    report = check_modular_collapse(7, 7, 14, sum_valuations(7, sums))
+    report = check_modular_collapse(7, 7, nu(14), sum_valuations(7, sums))
     assert report == FilterReport(
         "modular_collapse", FAIL, "middle term m = 3 has nu_2 = 5 < nu_2(s) = 7"
     )
-    assert report == _reference_collapse(7, 7, 14, sums)
+    assert report == _reference_collapse(7, 7, nu(14), sums)
 
 
 def _collapse_exit(report):
@@ -268,14 +281,15 @@ def test_collapse_matches_reference_on_every_exit_at_both_parities():
             for m in (1, 3, max(true_sums)):
                 for corrupt in corruptions:
                     variants.append({**true_sums, m: corrupt(true_sums[m])})
-            r = rad(k * (k + 1))
             rows = [sum_valuations(k, sums) for sums in variants]
             for row, sums in zip(rows, variants):
                 assert row == [nu(s) for s in sums.values()], (ell, k, sums)
-            for w in range(r, 9 * r, r):
+            # the g of w = r, 2r, ..., 8r, for r = rad(k(k+1)) squarefree and even
+            r = rad(k * (k + 1))
+            for g in sorted({nu(w) for w in range(r, 9 * r, r)}):
                 for row, sums in zip(rows, variants):
-                    report = check_modular_collapse(ell, k, w, row)
-                    assert report == _reference_collapse(ell, k, w, sums), (ell, k, w, sums)
+                    report = check_modular_collapse(ell, k, g, row)
+                    assert report == _reference_collapse(ell, k, g, sums), (ell, k, g, sums)
                     seen[ell % 2].add(_collapse_exit(report))
     every_exit = {"pass", "middle", "m1 exact", "m1 below s", "last", "forced"}
     assert seen == {0: every_exit, 1: every_exit}

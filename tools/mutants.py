@@ -143,6 +143,19 @@ MUTANTS = (
         ("tests/test_powersum.py::test_batch_advances_from_a_previous_batch",),
     ),
     Mutant(
+        "decide_passes_w_for_g", "decider.py",
+        "check_modular_collapse(ell, k, nu(w), valuations)",
+        "check_modular_collapse(ell, k, w, valuations)",
+        ("tests/test_filters.py::test_collapse_matches_reference_on_every_sweep_replay",
+         "tests/test_decider.py::test_certificate_bytes_are_pinned"),
+    ),
+    Mutant(
+        "collapse_accepts_g_0", "filters.py",
+        "if g < 1:",
+        "if g < 0:",
+        ("tests/test_filters.py::test_collapse_preconditions",),
+    ),
+    Mutant(
         "radical_filter_on_rad_k", "filters.py",
         "r = rad(k * (k + 1))",
         "r = rad(k)",
