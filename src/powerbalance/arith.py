@@ -42,35 +42,33 @@ def rad(x: int) -> int:
     if x <= 0:
         raise ValueError(f"rad is defined for positive integers, got {x}")
     # with limit isqrt(x) the odd factorization is complete
-    return (2 - x % 2) * prod(p for p, _ in odd_prime_factors(x, isqrt(x))[0])
+    return (2 - x % 2) * prod(odd_prime_factors(x, isqrt(x))[0])
 
 
-def odd_prime_factors(x: int, limit: int = FACTOR_LIMIT) -> tuple[list[tuple[int, int]], int]:
+def odd_prime_factors(x: int, limit: int = FACTOR_LIMIT) -> tuple[list[int], int]:
     """Factor the odd part of x by trial division with primes <= limit.
 
-    Returns (factors, remainder) where factors is a list of
-    (prime, multiplicity) pairs in ascending order and remainder is the
-    unfactored part (1 when the factorization is complete).  Incompleteness
-    is reported through the remainder, never as an error.  Powers of 2 are
-    stripped and not reported.
+    Returns (primes, remainder) where primes lists the distinct odd primes
+    found, in ascending order, and remainder is the unfactored part (1 when
+    the factorization is complete).  Multiplicities are not reported.
+    Incompleteness is reported through the remainder, never as an error.
+    Powers of 2 are stripped and not reported.
     """
     if x < 1:
         raise ValueError(f"expected a positive integer, got {x}")
     while x % 2 == 0:
         x //= 2
-    factors = []
+    primes = []
     d = 3
     while d <= limit and d * d <= x:
         if x % d == 0:
-            mult = 0
             while x % d == 0:
                 x //= d
-                mult += 1
-            factors.append((d, mult))
+            primes.append(d)
         d += 2
     if x > 1:
         if isqrt(x) < d:
             # no factor below sqrt(x): the remainder is prime
-            factors.append((x, 1))
+            primes.append(x)
             x = 1
-    return factors, x
+    return primes, x

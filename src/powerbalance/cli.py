@@ -47,9 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decide", help="decide one exponent and emit a certificate")
     p.add_argument("--ell", type=int, required=True, help="exponent, >= 1")
     p.add_argument("--mode", choices=[FAST, PARANOID], default=FAST)
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", dest="as_json", action="store_true", help="full JSON certificate (default)")
-    fmt.add_argument("--summary", dest="summary", action="store_true", help="one-line verdict")
+    p.add_argument("--summary", action="store_true", help="one-line verdict instead of the JSON certificate")
 
     p = sub.add_parser(
         "sweep",

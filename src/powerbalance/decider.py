@@ -45,7 +45,6 @@ import json
 import os
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -177,7 +176,7 @@ def _run_filters(ell: int, k: int, w: int) -> list[FilterReport]:
     return reports
 
 
-def _crosscheck_powersums(ell: int, k: int, sums: dict[int, int]) -> list[int]:
+def _crosscheck_powersums(k: int, sums: dict[int, int]) -> list[int]:
     """Paranoid validation of a batch of power sums against independent facts.
 
     Carlitz-von Staudt divisibility is checked for every sum in the batch,
@@ -256,7 +255,7 @@ def decide(ell: int, mode: str = FAST) -> Certificate:
                     sums = powersum_batch(k, ell, start=batch)
                     batch = (k, sums)
                     if mode == PARANOID:
-                        valuations = _crosscheck_powersums(ell, k, sums)
+                        valuations = _crosscheck_powersums(k, sums)
                     else:
                         valuations = sum_valuations(k, sums)
                 sign = _settle_sign(ell, k, w, excluded, sums, mode)
@@ -326,6 +325,8 @@ def sweep(ell_min: int, ell_max: int, mode: str = FAST, workers: int = 1):
 def _pool_map(task, ells: range, workers: int):
     """One task per exponent, with at most _TASKS_AHEAD_PER_WORKER * workers of them
     submitted and unread; when the stream ends or is closed, queued exponents are dropped."""
+    # imported here, so that deciding exponents in this process never loads the pool machinery
+    from concurrent.futures import ProcessPoolExecutor
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
         todo = iter(ells)

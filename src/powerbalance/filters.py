@@ -81,8 +81,8 @@ def filter_w_plus_1_primes(ell: int, w: int) -> FilterReport:
     if w < 1:
         raise ValueError(f"w must be >= 1, got {w}")
     modulus = 2 ** (nu(ell) + 1)
-    factors, remainder = odd_prime_factors(w + 1)
-    for p, _ in factors:
+    primes, remainder = odd_prime_factors(w + 1)
+    for p in primes:
         if p % modulus != 1:
             return FilterReport(
                 "w_plus_1_primes", FAIL, f"prime {p} | w+1 = {w + 1} has {p} % {modulus} = {p % modulus} != 1"

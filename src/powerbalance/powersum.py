@@ -22,6 +22,7 @@ and MacMillan-Sondow (nu_2(2*S_m(k)) = 2*nu_2(k(k+1)) - 1 for odd m >= 3).
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate, repeat
 from math import comb, lcm
 from operator import add, mul
@@ -59,26 +60,18 @@ def powersum_direct(k: int, m: int) -> int:
     return sum(i**m for i in range(1, k + 1))
 
 
-# Faulhaber memo: m -> (D_m, c), where c lists integer coefficients by
-# descending power of k and S_m(k) = (c[0] k^(m+1) + ... + c[m] k) / D_m.
-# Racing threads may build an entry twice; both store the same value.
-_FAULHABER: dict[int, tuple[int, tuple[int, ...]]] = {}
-
-
+@cache
 def _faulhaber(m: int) -> tuple[int, tuple[int, ...]]:
-    """The memoized integer form (D_m, coefficients) of Faulhaber's formula.
+    """The integer form (D_m, c) of Faulhaber's formula, memoized per m.
 
-    S_m(k) = sum_j C(m+1, j) B_j k^(m+1-j) / (m+1); D_m is the least common
-    denominator of those rational coefficients.
+    S_m(k) = sum_j C(m+1, j) B_j k^(m+1-j) / (m+1) = (c[0] k^(m+1) + ...
+    + c[m] k) / D_m, where c lists integer coefficients by descending power
+    of k and D_m is the least common denominator of the rational ones.
     """
-    entry = _FAULHABER.get(m)
-    if entry is None:
-        bern = bernoulli_numbers(m)
-        rational = [comb(m + 1, j) * bern[j] / (m + 1) for j in range(m + 1)]
-        denom = lcm(*(q.denominator for q in rational))
-        coeffs = tuple(q.numerator * (denom // q.denominator) for q in rational)
-        entry = _FAULHABER[m] = (denom, coeffs)
-    return entry
+    bern = bernoulli_numbers(m)
+    rational = [comb(m + 1, j) * bern[j] / (m + 1) for j in range(m + 1)]
+    denom = lcm(*(q.denominator for q in rational))
+    return denom, tuple(q.numerator * (denom // q.denominator) for q in rational)
 
 
 def powersum_closed(k: int, m: int) -> int:

@@ -2,8 +2,7 @@
 
 The two full-range sweeps (exponents 3..1000, fast and paranoid) dominate
 the runtime; they are computed once in module-scoped fixtures and shared.
-On a 2-core host with Python 3.11 the paranoid sweep takes 26-30 s and
-the fast one about 2 s, of a Tier-1 run of 62-75 s.
+README.md states how long they and the whole suite take.
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete.
 """

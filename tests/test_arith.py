@@ -109,8 +109,8 @@ def test_rad_is_the_product_of_the_distinct_primes():
 
 
 def test_odd_prime_factors_examples():
-    assert odd_prime_factors(17, 10**6) == ([(17, 1)], 1)
-    assert odd_prime_factors(45, 10**6) == ([(3, 2), (5, 1)], 1)
+    assert odd_prime_factors(17, 10**6) == ([17], 1)
+    assert odd_prime_factors(45, 10**6) == ([3, 5], 1)
     assert odd_prime_factors(1, 10**6) == ([], 1)
 
 
@@ -118,22 +118,23 @@ def test_odd_prime_factors_strips_twos_and_reconstructs():
     rng = random.Random(103)
     for _ in range(200):
         x = rng.randint(1, 10**6)
-        factors, remainder = odd_prime_factors(x)
+        primes, remainder = odd_prime_factors(x)
         assert remainder == 1
+        assert primes == sorted(set(primes))
         rebuilt = remainder
-        for p, mult in factors:
+        for p in primes:
             assert p % 2 == 1 and _factor_by_trial_division(p) == {p: 1}
-            rebuilt *= p**mult
+            rebuilt *= p ** _valuation_by_division(p, x)
         assert rebuilt * 2 ** _valuation_by_division(2, x) == x
 
 
 def test_odd_prime_factors_reports_unfactored_remainder():
     # 73 * 89 = 6497: both primes exceed the limit, nothing is found
-    factors, remainder = odd_prime_factors(73 * 89, limit=50)
-    assert factors == [] and remainder == 73 * 89
+    primes, remainder = odd_prime_factors(73 * 89, limit=50)
+    assert primes == [] and remainder == 73 * 89
     # a found factor is still reported alongside the remainder
-    factors, remainder = odd_prime_factors(3 * 73 * 89, limit=50)
-    assert factors == [(3, 1)] and remainder == 73 * 89
+    primes, remainder = odd_prime_factors(3 * 73 * 89, limit=50)
+    assert primes == [3] and remainder == 73 * 89
     # incompleteness is never an error
     assert odd_prime_factors(10**7 + 19, limit=100)[0] == []
 

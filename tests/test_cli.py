@@ -24,12 +24,15 @@ def run(capsys, *argv):
 
 
 def test_decide_json(capsys):
-    code, out = run(capsys, "decide", "--ell", "8", "--json")
+    code, out = run(capsys, "decide", "--ell", "8")
     assert code == 0
     cert = json.loads(out)
     assert cert["verdict"] == "NO_SOLUTION"
     assert cert["candidates"][0]["k"] == "1"
     assert cert["candidates"][0]["ws"] == []
+    # JSON is the default, so decide has no --json flag to ask for it
+    assert main(["decide", "--ell", "8", "--json"]) == 2
+    assert "unrecognized arguments: --json" in capsys.readouterr().err
 
 
 def test_decide_summary_family(capsys):

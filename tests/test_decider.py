@@ -1,11 +1,16 @@
 """The per-exponent decision procedure and its certificates."""
 
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from concurrent.futures import Future
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -168,10 +173,10 @@ def test_window_ends_render_as_reduced_fractions():
 
 def test_fast_decide_builds_no_fraction_per_window(monkeypatch):
     # every window of decide(999) stays an integer triple; the only Fraction
-    # fast mode may build is the sharp K cap from corollary_K_bound.  An
-    # empty Faulhaber memo would build Bernoulli Fractions if fast mode
+    # fast mode may build is the sharp K cap from corollary_K_bound.  A
+    # cleared Faulhaber memo would build Bernoulli Fractions if fast mode
     # reached the closed form.
-    monkeypatch.setattr(powersum, "_FAULHABER", {})
+    powersum._faulhaber.cache_clear()
     built = []
     real_new = Fraction.__new__
 
@@ -509,8 +514,20 @@ def test_sweep_of_one_exponent_starts_no_pool(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a single exponent needs no worker process")
 
-    monkeypatch.setattr(decider, "ProcessPoolExecutor", forbidden)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", forbidden)
     assert [c.verdict for c in sweep(5, 5, workers=5000)] == [NO_SOLUTION]
+
+
+def test_deciding_in_process_never_loads_the_pool_machinery():
+    # a fresh interpreter, since this one may have run a parallel sweep already
+    env = {**os.environ, "PYTHONPATH": str(Path(powerbalance.__file__).resolve().parents[1])}
+    code = ("import sys, powerbalance\n"
+            "assert powerbalance.decide(5).verdict == 'NO_SOLUTION'\n"
+            "print('concurrent.futures.process' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 class _SpyPool:
@@ -545,7 +562,7 @@ class _SpyPool:
 
 def test_parallel_sweep_keeps_a_bounded_window_of_tasks_in_flight(monkeypatch):
     monkeypatch.setattr(_SpyPool, "made", [])
-    monkeypatch.setattr(decider, "ProcessPoolExecutor", _SpyPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SpyPool)
     monkeypatch.setattr(decider, "_pool_size", lambda workers, tasks: min(workers, tasks))
     window = decider._TASKS_AHEAD_PER_WORKER * 3
     certs = list(sweep(3, 80, workers=3))
@@ -568,7 +585,7 @@ def test_sweep_rejects_an_unknown_mode_at_the_call(monkeypatch, workers):
     def forbidden(*args, **kwargs):
         raise AssertionError("an invalid mode must be rejected before any pool starts")
 
-    monkeypatch.setattr(decider, "ProcessPoolExecutor", forbidden)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", forbidden)
     with pytest.raises(ValueError, match="mode must be"):
         sweep(3, 5, mode="quick", workers=workers)
 

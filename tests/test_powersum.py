@@ -75,25 +75,32 @@ def test_closed_equals_summation_full_range():
             assert powersum_closed(k, m) == sums[m], (k, m)
 
 
-def test_closed_raises_on_corrupt_bernoulli(monkeypatch):
+@pytest.fixture
+def empty_faulhaber_memo():
+    # cleared again afterwards, pass or fail, so no later test reads what this one built
+    ps._faulhaber.cache_clear()
+    yield
+    ps._faulhaber.cache_clear()
+
+
+def test_closed_raises_on_corrupt_bernoulli(monkeypatch, empty_faulhaber_memo):
     bad = KNOWN_BERNOULLI[:]
     bad[2] += Fraction(1, 7)
     monkeypatch.setattr(ps, "bernoulli_numbers", lambda n: bad[: n + 1])
     # an empty memo makes the closed form rebuild its coefficients from the
     # corrupted table instead of reusing ones built from the true numbers
-    monkeypatch.setattr(ps, "_FAULHABER", {})
     with pytest.raises(RuntimeError, match="not integral"):
         powersum_closed(5, 2)
 
 
 def test_closed_raises_on_corrupt_memo(monkeypatch):
-    monkeypatch.setattr(ps, "_FAULHABER", {})
     assert powersum_closed(7, 5) == powersum_direct(7, 5)
-    denom, coeffs = ps._FAULHABER[5]
+    denom, coeffs = ps._faulhaber(5)
     assert denom == 12  # S_5(k) = (2k^6 + 6k^5 + 5k^4 - k^2) / 12
     # one more in the coefficient of k: the numerator grows by k, which
     # D_5 does not divide at these k
-    ps._FAULHABER[5] = (denom, coeffs[:-1] + (coeffs[-1] + 1,))
+    corrupt = (denom, coeffs[:-1] + (coeffs[-1] + 1,))
+    monkeypatch.setattr(ps, "_faulhaber", lambda m: corrupt)
     for k in (1, 2, 7, 100):
         with pytest.raises(RuntimeError, match="not integral"):
             powersum_closed(k, 5)

@@ -161,6 +161,12 @@ MUTANTS = (
         "r = rad(k)",
         ("tests/test_filters.py::test_radical_filter",),
     ),
+    Mutant(
+        "factor_strips_each_prime_once", "arith.py",
+        "while x % d == 0:",
+        "if x % d == 0:",
+        ("tests/test_arith.py::test_rad_is_the_product_of_the_distinct_primes",),
+    ),
 )
 
 
