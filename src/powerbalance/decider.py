@@ -32,7 +32,9 @@ values rendered as decimal or "p/q" strings, never floats.  It stores ell,
 the per-k records, the mode and the elapsed time; the verdict, solutions
 and ell = 1, 2 family are derived from them.  Each window is stored as the
 integer triple that bounds.compute_bounds returns, and reduced only when
-it is rendered.
+it is rendered.  Certificate (ell, candidates, mode, elapsed_ms) and its
+records, CandidateRecord (k, window, per_candidate) and CandidateEvaluation
+(w, filters, f_sign), are immutable named tuples, like filters.FilterReport.
 
 certificate_json writes the canonical text directly, one f-string per
 window and per candidate, keys in sorted order and every string escaped by
@@ -44,8 +46,7 @@ the certificate's tree, which is never built.
 import json
 import os
 import time
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from fractions import Fraction
 from functools import partial
 from itertools import islice, repeat
@@ -93,13 +94,10 @@ _TASKS_AHEAD_PER_WORKER = 4
 _by_name = attrgetter("name")
 
 
-@dataclass(frozen=True)
-class CandidateEvaluation:
-    """One integer candidate w: its filter reports, f sign, and fate."""
+class CandidateEvaluation(namedtuple("CandidateEvaluation", "w filters f_sign")):
+    """One integer candidate w: its filter reports, f sign (None when unsettled), and fate."""
 
-    w: int
-    filters: tuple[FilterReport, ...]
-    f_sign: int | None
+    __slots__ = ()
 
     @property
     def status(self) -> str:
@@ -108,35 +106,28 @@ class CandidateEvaluation:
         return SOLUTION if self.f_sign == 0 else EXCLUDED_BY_EVALUATION
 
 
-@dataclass(frozen=True)
-class CandidateRecord:
+class CandidateRecord(namedtuple("CandidateRecord", "k window per_candidate")):
     """Everything the procedure did for one k: its window and every integer in it.
 
     window is (lower, upper, den) from compute_bounds, the ends lower/den and
-    upper/den unreduced.
+    upper/den unreduced; per_candidate holds one CandidateEvaluation per integer.
     """
 
-    k: int
-    window: tuple[int, int, int]
-    per_candidate: tuple[CandidateEvaluation, ...]
+    __slots__ = ()
 
     @property
     def integer_candidates(self) -> tuple[int, ...]:
         return tuple(ev.w for ev in self.per_candidate)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(namedtuple("Certificate", "ell candidates mode elapsed_ms")):
     """Auditable record of the decision for one ell.
 
     Stores ell, the per-k records, the mode and the elapsed time; derives
     the solutions, the verdict and the ell = 1, 2 family from those.
     """
 
-    ell: int
-    candidates: tuple[CandidateRecord, ...]
-    mode: str
-    elapsed_ms: int
+    __slots__ = ()
 
     @property
     def solutions(self) -> tuple[tuple[int, int], ...]:
@@ -146,9 +137,7 @@ class Certificate:
 
     @property
     def verdict(self) -> str:
-        if self.ell <= 2:
-            return FAMILY
-        return SOLUTIONS if self.solutions else NO_SOLUTION
+        return _verdict(self.ell, self.solutions)
 
     @property
     def family(self) -> dict | None:
@@ -159,6 +148,12 @@ class Certificate:
         samples = [(solution_family(self.ell, k)[0], k) for k in range(1, _FAMILY_SAMPLE_COUNT + 1)]
         return {"w": "k(k+1)" if one else "2k(k+1)", "n": "k^2" if one else "k(2k+1)",
                 "samples": samples}
+
+
+def _verdict(ell: int, solutions: tuple[tuple[int, int], ...]) -> str:
+    if ell <= 2:
+        return FAMILY
+    return SOLUTIONS if solutions else NO_SOLUTION
 
 
 def _elapsed_ms(t0: float) -> int:
@@ -381,8 +376,9 @@ def certificate_json(cert: Certificate, include_timing: bool = True) -> str:
     if family is not None:
         family = {**family, "samples": [[str(n), str(k)] for n, k in family["samples"]]}
         parts.append(f'"family":{json.dumps(family, sort_keys=True, separators=(",", ":"))}')
-    solutions = ",".join(f'["{n}","{k}"]' for n, k in cert.solutions)
-    parts += [f'"mode":{_esc(cert.mode)}', '"schema":"1"', f'"solutions":[{solutions}]',
-              f'"verdict":{_esc(cert.verdict)}']
+    solutions = cert.solutions
+    rendered = ",".join(f'["{n}","{k}"]' for n, k in solutions)
+    parts += [f'"mode":{_esc(cert.mode)}', '"schema":"1"', f'"solutions":[{rendered}]',
+              f'"verdict":{_esc(_verdict(cert.ell, solutions))}']
     return "{" + ",".join(parts) + "}"
 

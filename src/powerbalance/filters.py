@@ -4,10 +4,10 @@ Everything revolves around the three 2-adic valuations
 
     e = nu_2(ell),   f = nu_2(k(k+1)),   g = nu_2(w).
 
-A filter returns a FilterReport whose outcome is FAIL when the candidate
-provably cannot solve the equation, PASS when the filter does not exclude
-it, and INCONCLUSIVE when the filter could not decide (an incomplete
-factorization).  Filters are accelerators only: the decision procedure
+A filter returns a FilterReport, the immutable named tuple (name, outcome,
+detail), whose outcome is FAIL when the candidate provably cannot solve
+the equation, PASS when the filter does not exclude it, and INCONCLUSIVE
+when the filter could not decide (an incomplete factorization).  Filters are accelerators only: the decision procedure
 never trusts a FAIL without the option of exact evaluation, and paranoid
 mode settles every filtered candidate's sign too (see decider).
 
@@ -26,7 +26,7 @@ coefficients (kept per ell), and the part that is linear in m.  The part
 that depends only on ell and g is added once.  It never forms C(ell, m).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import repeat
 from operator import add, and_, neg, sub
@@ -40,11 +40,10 @@ FAIL = "FAIL"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 
-@dataclass(frozen=True)
-class FilterReport:
-    name: str
-    outcome: str
-    detail: str
+class FilterReport(namedtuple("FilterReport", "name outcome detail")):
+    """One filter's name, its outcome (PASS, FAIL or INCONCLUSIVE) and why."""
+
+    __slots__ = ()
 
     @property
     def failed(self) -> bool:

@@ -1,10 +1,10 @@
 """The per-exponent decision procedure and its certificates."""
 
 import concurrent.futures
-import dataclasses
 import hashlib
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -143,16 +143,55 @@ def test_public_api():
 
 
 def test_certificate_stores_only_what_decide_observed():
-    stored = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
-              for cls in (decider.Certificate, decider.CandidateRecord, decider.CandidateEvaluation)}
+    stored = {cls.__name__: list(cls._fields)
+              for cls in (Certificate, CandidateRecord, CandidateEvaluation, FilterReport)}
     assert stored == {
         "Certificate": ["ell", "candidates", "mode", "elapsed_ms"],
         "CandidateRecord": ["k", "window", "per_candidate"],
         "CandidateEvaluation": ["w", "filters", "f_sign"],
+        "FilterReport": ["name", "outcome", "detail"],
     }
     cert = decide(27)
     for rec in cert.candidates:
         assert rec.integer_candidates == tuple(decider.integers_in_window(rec.window))
+
+
+def _one_record_of_each_type():
+    """A certificate of decide(27) with one of its records, evaluations and filter reports."""
+    cert = decide(27)
+    rec = next(rec for rec in cert.candidates if rec.per_candidate)
+    ev = rec.per_candidate[0]
+    return cert, rec, ev, ev.filters[0]
+
+
+def test_records_refuse_assignment():
+    # a frozen dataclass raised FrozenInstanceError, a subclass of AttributeError
+    records = _one_record_of_each_type()
+    assert [type(r) for r in records] == [Certificate, CandidateRecord, CandidateEvaluation,
+                                          FilterReport]
+    for record in records:
+        for field in type(record)._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            record.unstored = None
+
+
+def test_records_have_no_instance_dict():
+    for record in _one_record_of_each_type():
+        assert not hasattr(record, "__dict__"), type(record).__name__
+
+
+@pytest.mark.parametrize("ell, mode", [(120, FAST), (100, PARANOID)])
+def test_certificates_survive_pickling(ell, mode):
+    # the worker pool sends every certificate back to the parent by pickle
+    cert = decide(ell, mode)
+    assert any(rec.per_candidate for rec in cert.candidates)
+    back = pickle.loads(pickle.dumps(cert))
+    assert type(back) is Certificate
+    assert back == cert
+    assert type(back.candidates[0]) is CandidateRecord
+    assert certificate_json(back) == certificate_json(cert)
 
 
 def test_window_ends_render_as_reduced_fractions():
@@ -523,11 +562,11 @@ def test_deciding_in_process_never_loads_the_pool_machinery():
     env = {**os.environ, "PYTHONPATH": str(Path(powerbalance.__file__).resolve().parents[1])}
     code = ("import sys, powerbalance\n"
             "assert powerbalance.decide(5).verdict == 'NO_SOLUTION'\n"
-            "print('concurrent.futures.process' in sys.modules)")
+            "print('concurrent.futures.process' in sys.modules, 'dataclasses' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "False False\n"
 
 
 class _SpyPool:

@@ -32,6 +32,14 @@ def test_radical_filter():
     assert filter_radical(2, 4).outcome == FAIL
 
 
+def test_filter_report_is_a_named_tuple():
+    # immutability and the missing __dict__ are checked for every record type in test_decider
+    report = filter_radical(2, 9)
+    assert report == ("radical", FAIL, "rad(6) = 6 does not divide w = 9")
+    passed = report._replace(outcome=PASS)
+    assert type(passed) is FilterReport and not passed.failed and report.failed
+
+
 def test_center_valuation_filter():
     assert filter_g_ge_e_plus_1(8, 16).outcome == PASS  # g = 4 >= e+1 = 4
     assert filter_g_ge_e_plus_1(4, 4).outcome == FAIL  # g = 2 < e+1 = 3

@@ -112,6 +112,12 @@ MUTANTS = (
         ("tests/test_decider.py::test_certificate_json_escapes_strings_as_json_dumps_does",),
     ),
     Mutant(
+        "record_slots_dropped", "decider.py",
+        "    __slots__ = ()\n\n    @property\n    def integer_candidates",
+        "    @property\n    def integer_candidates",
+        ("tests/test_decider.py::test_records_have_no_instance_dict",),
+    ),
+    Mutant(
         "collapse_s_exp_off_by_one", "filters.py",
         "s_exp = 2 * f - 1 + 2 * g + e",
         "s_exp = 2 * f + 2 * g + e",
