@@ -96,44 +96,56 @@ def balance_difference(n: int, k: int, ell: int) -> int:
     return left - right
 
 
-def _power_step(vs: list[int], xs: range, bit: str) -> list[int]:
-    """Each v squared, then times its x when bit is "1": one step of x^ell by the bits of ell."""
-    vs = [v * v for v in vs]
-    return [v * x for v, x in zip(vs, xs)] if bit == "1" else vs
+def _power_bounds(xs: range, ell: int, bits: int) -> tuple[list[int], int, int]:
+    """Floors lo, one gap and one e with lo[i] * 2^e <= xs[i]^ell <= (lo[i] + gap) * 2^e.
 
+    xs ascends from 0 or above.  Square and multiply raises all powers at
+    once by the bits of ell, and after each step the invariant above holds
+    for the exponent t reached so far.  Every step is monotone, so lo stays
+    nondecreasing and top = lo[-1] is its largest floor.  The gap follows
+    by scalar arithmetic alone:
 
-def _power_bounds(xs: range, ell: int, bits: int) -> tuple[list[int], list[int], int]:
-    """Lists lo, hi and one e with 0 <= lo[i] * 2^e <= xs[i]^ell <= hi[i] * 2^e, for xs >= 0.
+      square:            lo[i] -> lo[i]^2,   e -> 2e,  gap -> 2 top gap + gap^2
+      multiply by x:     lo[i] -> lo[i] x_i,           gap -> gap * xs[-1]
+      shift right by d:  lo[i] -> lo[i] >> d, e -> e + d,
+                         gap -> 1 + ceil(gap / 2^d), as lo[i] >> d loses less than 1
 
-    Square and multiply, all powers at once; each step rounds every lo down
-    and every hi up by the same number of bits, so that the largest hi keeps
-    bits bits.  e = 0 means nothing was rounded, so lo = hi = the powers,
-    and until then lo and hi are one list, squared once per step.
+    A shift follows any step that leaves top wider than bits bits, and cuts
+    it to bits bits.  gap stays 0 until the first shift, so e = 0 means lo
+    holds the exact powers.
     """
-    lows = highs = [1] * len(xs)
-    e = 0
+    lows = [1] * len(xs)
+    gap = e = 0
+    top_x = xs[-1]
     for bit in bin(ell)[2:]:
-        if e == 0:
-            lows = highs = _power_step(lows, xs, bit)
-        else:
-            lows, highs, e = _power_step(lows, xs, bit), _power_step(highs, xs, bit), 2 * e
-        drop = max(highs).bit_length() - bits
+        top = lows[-1]
+        lows = [v * v for v in lows]
+        gap, e = 2 * top * gap + gap * gap, 2 * e
+        if bit == "1":
+            lows = [v * x for v, x in zip(lows, xs)]
+            gap *= top_x
+        drop = lows[-1].bit_length() - bits
         if drop > 0:
-            lows, highs, e = [v >> drop for v in lows], [-(-v >> drop) for v in highs], e + drop
-    return lows, highs, e
+            lows = [v >> drop for v in lows]
+            gap, e = 1 + (-(-gap >> drop)), e + drop
+    return lows, gap, e
 
 
 def interval_sign(n: int, k: int, ell: int) -> int:
-    """The sign of LHS - RHS at (n, k, ell), for n, k, ell >= 1, proven from the definition:
-    each side's _power_bounds summed, bits doubling while the two sides' sums overlap."""
+    """The sign of LHS - RHS at (n, k, ell), for n, k, ell >= 1, proven from the definition.
+
+    With _power_bounds of all 2k+1 powers and diff = sum of the left side's
+    floors minus the right side's, (LHS - RHS) / 2^e lies between
+    diff - k gap and diff + (k+1) gap; bits double while that range holds 0.
+    """
     if n < 1 or k < 1 or ell < 1:
         raise ValueError(f"n, k and ell must all be >= 1, got {n}, {k}, {ell}")
     bits = _INTERVAL_BITS
     while True:
-        lows, highs, e = _power_bounds(range(n, n + 2 * k + 1), ell, bits)
-        low = sum(lows[:k + 1]) - sum(highs[k + 1:])  # low <= (LHS - RHS) / 2^e <= high
-        high = sum(highs[:k + 1]) - sum(lows[k + 1:])
-        if low > 0 or high < 0 or e == 0:  # e = 0: nothing rounded, low = high
+        lows, gap, e = _power_bounds(range(n, n + 2 * k + 1), ell, bits)
+        diff = sum(lows[:k + 1]) - sum(lows[k + 1:])
+        low, high = diff - k * gap, diff + (k + 1) * gap
+        if low > 0 or high < 0 or e == 0:  # e = 0: gap = 0, low = high = diff
             return (low > 0) - (high < 0)
         bits *= 2
 

@@ -144,11 +144,20 @@ class _ClosedSums(dict):
         return value
 
 
-def test_balance_sign_matches_direct_summation_on_every_window():
+def test_balance_sign_matches_direct_summation_on_every_window(monkeypatch):
     # every window integer of ell <= 400 under the sharp cap, and for each
     # nonempty window floor(lower), ceil(upper) and one past each; for
     # ell <= 100 those four points at every k, empty windows included.
-    # interval_sign, the route paranoid mode checks against, at each as well
+    # interval_sign, the route paranoid mode checks against, at each as well,
+    # and at each its first width settles the sign: it never doubles
+    widths = []
+    real = equation._power_bounds
+
+    def recording(xs, ell, bits):
+        widths.append(bits)
+        return real(xs, ell, bits)
+
+    monkeypatch.setattr(equation, "_power_bounds", recording)
     in_window = 0
     for ell in range(3, 401):
         cap = corollary_K_bound(ell)
@@ -168,6 +177,7 @@ def test_balance_sign_matches_direct_summation_on_every_window():
             in_window += len(ws)
             k += 1
     assert in_window == 2743
+    assert max(widths) == equation._INTERVAL_BITS
 
 
 def test_balance_sign_is_exactly_zero_at_the_family_roots():
@@ -289,14 +299,16 @@ def test_power_bounds_bracket_the_power():
     for bits in (1, 2, 3, 5, 8):
         for ell in range(1, 40):
             for xs in (range(0, 60), range(7, 12), range(1000, 1003)):
-                lows, highs, e = _power_bounds(xs, ell, bits)
+                lows, gap, e = _power_bounds(xs, ell, bits)
                 powers = [x**ell for x in xs]
-                for lo, hi, power in zip(lows, highs, powers):
-                    assert 0 <= lo << e <= power <= hi << e, (xs, ell, bits)
+                assert len(lows) == len(powers), (xs, ell, bits)
+                for lo, power in zip(lows, powers):
+                    assert 0 <= lo << e <= power <= (lo + gap) << e, (xs, ell, bits)
+                assert (e == 0) == (gap == 0), (xs, ell, bits)
                 if e == 0:
-                    assert lows == highs == powers, (xs, ell, bits)
+                    assert lows == powers, (xs, ell, bits)
                 else:
-                    assert max(highs) <= 2**bits, (xs, ell, bits)
+                    assert max(lows) < 2**bits, (xs, ell, bits)
 
 
 @settings(max_examples=300, deadline=None)

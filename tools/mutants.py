@@ -42,6 +42,7 @@ class Mutant(NamedTuple):
 
 EQ_WINDOWS = "tests/test_equation.py::test_balance_sign_matches_direct_summation_on_every_window"
 EQ_FEW_BITS = "tests/test_equation.py::test_interval_sign_agrees_when_it_starts_at_a_few_bits"
+EQ_BRACKETS = "tests/test_equation.py::test_power_bounds_bracket_the_power"
 
 MUTANTS = (
     Mutant(
@@ -69,21 +70,33 @@ MUTANTS = (
         (EQ_WINDOWS,),
     ),
     Mutant(
-        "interval_upper_bound_floored", "equation.py",
-        "[-(-v >> drop) for v in highs]",
-        "[v >> drop for v in highs]",
-        ("tests/test_equation.py::test_power_bounds_bracket_the_power", EQ_FEW_BITS),
+        "interval_rounding_unit_dropped", "equation.py",
+        "gap, e = 1 + (-(-gap >> drop)), e + drop",
+        "gap, e = -(-gap >> drop), e + drop",
+        (EQ_BRACKETS, EQ_FEW_BITS),
     ),
     Mutant(
-        "interval_shared_shift_dropped_from_the_lows", "equation.py",
-        "[v >> drop for v in lows]",
-        "lows",
-        (EQ_WINDOWS, EQ_FEW_BITS),
+        "interval_cross_term_halved", "equation.py",
+        "2 * top * gap + gap * gap",
+        "top * gap + gap * gap",
+        (EQ_BRACKETS, EQ_FEW_BITS),
     ),
     Mutant(
-        "interval_sides_swapped_in_the_difference", "equation.py",
-        "low = sum(lows[:k + 1]) - sum(highs[k + 1:])",
-        "low = sum(highs[:k + 1]) - sum(lows[k + 1:])",
+        "interval_square_term_dropped", "equation.py",
+        "2 * top * gap + gap * gap",
+        "2 * top * gap",
+        (EQ_BRACKETS,),
+    ),
+    Mutant(
+        "interval_gap_not_scaled_by_the_top_x", "equation.py",
+        "gap *= top_x",
+        "pass",
+        (EQ_BRACKETS, EQ_FEW_BITS),
+    ),
+    Mutant(
+        "interval_slack_dropped_from_the_low_end", "equation.py",
+        "low, high = diff - k * gap,",
+        "low, high = diff,",
         (EQ_FEW_BITS,),
     ),
     Mutant(
