@@ -22,7 +22,10 @@ disagreement.  It evaluates every candidate, so no filter excluded a root.
 It checks each batch, before any sign reads it, against Carlitz-von Staudt
 for every m, against MacMillan-Sondow for every m on the shared valuation
 row, and against Faulhaber (powersum_closed) for m <= _CLOSED_CHECK_M_MAX,
-well above the m <= 7 the series sign reads at window integers.  It
+well above the m <= 7 the series sign reads at window integers.  Each k's
+Faulhaber row is evaluated once per process, behind a memo of at most
+_CLOSED_ROW_MEMO = 1024 rows (_closed_row), and compared with every batch
+of that k; the memo holds closed-form values only, never a batch's.  It
 requires each series sign to equal equation.interval_sign, the sign of
 LHS - RHS proven from the definition by integer bounds.  And it checks
 that every window between the sharp and the weak K bound is empty.  The
@@ -38,19 +41,19 @@ records, CandidateRecord (k, window, per_candidate) and CandidateEvaluation
 
 certificate_json writes the canonical text directly, one f-string per
 window and per candidate, keys in sorted order and every string escaped by
-json.encoder.encode_basestring_ascii, the escaper json.dumps uses: the text
-is byte for byte json.dumps(tree, sort_keys=True, separators=(",", ":")) of
-the certificate's tree, which is never built.
+_json.encode_basestring_ascii, the C escaper json.dumps uses, imported from
+where json.encoder takes it so that deciding never loads the json package:
+the text is byte for byte json.dumps(tree, sort_keys=True, separators=(",",
+":")) of the certificate's tree, which is never built.
 """
 
-import json
 import os
 import time
+from _json import encode_basestring_ascii as _esc
 from collections import deque, namedtuple
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import islice, repeat
-from json.encoder import encode_basestring_ascii as _esc
 from math import gcd
 from operator import attrgetter, mod, ne
 
@@ -83,6 +86,10 @@ SOLUTION = "SOLUTION"
 # Closed-form cross-check ceiling for paranoid mode: every batched power sum
 # with m at most this is re-derived through the Faulhaber polynomial.
 _CLOSED_CHECK_M_MAX = 41
+
+# Faulhaber rows _closed_row keeps: every k of a sweep up to ell = 3500 (k
+# below ell / sqrt(12)), at about 1.4 KB a row at k = 1000, so 1.5 MB at most.
+_CLOSED_ROW_MEMO = 1024
 
 _FAMILY_SAMPLE_COUNT = 5
 
@@ -171,6 +178,12 @@ def _run_filters(ell: int, k: int, w: int) -> list[FilterReport]:
     return reports
 
 
+@lru_cache(maxsize=_CLOSED_ROW_MEMO)
+def _closed_row(k: int) -> tuple[int, ...]:
+    """powersum_closed(k, m) for every odd m <= _CLOSED_CHECK_M_MAX, once per k per process."""
+    return tuple(powersum_closed(k, m) for m in range(1, _CLOSED_CHECK_M_MAX + 1, 2))
+
+
 def _crosscheck_powersums(k: int, sums: dict[int, int]) -> list[int]:
     """Paranoid validation of a batch of power sums against independent facts.
 
@@ -178,7 +191,7 @@ def _crosscheck_powersums(k: int, sums: dict[int, int]) -> list[int]:
     and the MacMillan-Sondow valuation nu_2(S_m(k)) = 2 nu_2(k(k+1)) - 2 for
     every m >= 3 on the batch's valuation row, which is returned for the
     replays to share; the Faulhaber closed form is compared outright for
-    the small exponents where it is affordable.
+    the small exponents where it is affordable, from k's memoized row.
     """
     K = k * (k + 1)
     half = K // 2
@@ -190,9 +203,10 @@ def _crosscheck_powersums(k: int, sums: dict[int, int]) -> list[int]:
     if any(map(ne, islice(row, 1, None), repeat(expected))):
         m = next(m for m, v in zip(sums, row) if m >= 3 and v != expected)
         raise RuntimeError(f"power-sum batch failed 2-adic valuation: k={k}, m={m}")
-    for m, s in islice(sums.items(), _CLOSED_CHECK_M_MAX // 2 + 1):
-        if s != powersum_closed(k, m):
-            raise RuntimeError(f"power-sum batch disagrees with closed form: k={k}, m={m}")
+    closed = _closed_row(k)
+    if any(map(ne, sums.values(), closed)):
+        m = next(m for m, s, c in zip(sums, sums.values(), closed) if s != c)
+        raise RuntimeError(f"power-sum batch disagrees with closed form: k={k}, m={m}")
     return row
 
 
@@ -374,8 +388,9 @@ def certificate_json(cert: Certificate, include_timing: bool = True) -> str:
     parts.append(f'"ell":{cert.ell}')
     family = cert.family
     if family is not None:
-        family = {**family, "samples": [[str(n), str(k)] for n, k in family["samples"]]}
-        parts.append(f'"family":{json.dumps(family, sort_keys=True, separators=(",", ":"))}')
+        samples = ",".join(f'["{n}","{k}"]' for n, k in family["samples"])
+        parts.append(f'"family":{{"n":{_esc(family["n"])},"samples":[{samples}],'
+                     f'"w":{_esc(family["w"])}}}')
     solutions = cert.solutions
     rendered = ",".join(f'["{n}","{k}"]' for n, k in solutions)
     parts += [f'"mode":{_esc(cert.mode)}', '"schema":"1"', f'"solutions":[{rendered}]',

@@ -19,7 +19,8 @@ down -- a bug flag, not an exclusion verdict.  It takes (ell, k, g) and
 the row of 2-adic valuations of the power sums (sum_valuations, built
 once per batch by the caller and shared by every replay of that k), never
 w itself.  Callers gate it on the radical filter alone, whose PASS makes
-g >= 1.
+g >= 1.  That filter factors k(k+1) once per k per process, through a
+memo of at most _RADICAL_MEMO = 1024 radicals.
 The replay adds three rows over odd m, element by element: that valuation
 row, the Kummer row popcount(m) + popcount(ell-m) of the binomial
 coefficients (kept per ell), and the part that is linear in m.  The part
@@ -39,6 +40,10 @@ PASS = "PASS"
 FAIL = "FAIL"
 INCONCLUSIVE = "INCONCLUSIVE"
 
+# Radicals _radical keeps: every k of a sweep up to ell = 3500 (k below
+# ell / sqrt(12)).
+_RADICAL_MEMO = 1024
+
 
 class FilterReport(namedtuple("FilterReport", "name outcome detail")):
     """One filter's name, its outcome (PASS, FAIL or INCONCLUSIVE) and why."""
@@ -50,9 +55,15 @@ class FilterReport(namedtuple("FilterReport", "name outcome detail")):
         return self.outcome == FAIL
 
 
+@lru_cache(maxsize=_RADICAL_MEMO)
+def _radical(k: int) -> int:
+    """rad(k(k+1)), factored once per k per process."""
+    return rad(k * (k + 1))
+
+
 def filter_radical(k: int, w: int) -> FilterReport:
     """Every prime dividing k(k+1) must divide w (so w must be even)."""
-    r = rad(k * (k + 1))
+    r = _radical(k)
     if w % r != 0:
         return FilterReport("radical", FAIL, f"rad({k * (k + 1)}) = {r} does not divide w = {w}")
     return FilterReport("radical", PASS, f"rad({k * (k + 1)}) = {r} divides w = {w}")
@@ -136,7 +147,8 @@ def sum_valuations(k: int, sums: dict[int, int]) -> list[int]:
 @lru_cache(maxsize=16)
 def _kummer_row(ell: int) -> tuple[int, ...]:
     """popcount(m) + popcount(ell - m) for every odd m from 1 up to ell."""
-    return tuple(m.bit_count() + (ell - m).bit_count() for m in range(1, ell + 1, 2))
+    return tuple(map(add, map(int.bit_count, range(1, ell + 1, 2)),
+                     map(int.bit_count, range(ell - 1, -1, -2))))
 
 
 def check_modular_collapse(ell: int, k: int, g: int, valuations: list[int]) -> FilterReport:

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import powerbalance
-from powerbalance import decider, equation, powersum
+from powerbalance import decider, equation, filters, powersum
 from powerbalance.bounds import compute_bounds, corollary_K_bound
 from powerbalance.decider import (
     EXCLUDED_BY_EVALUATION,
@@ -35,7 +35,7 @@ from powerbalance.decider import (
 from powerbalance.equation import verify_instance
 from powerbalance.filters import FAIL, PASS, FilterReport
 from powerbalance.oracle import oracle_search
-from powerbalance.powersum import powersum_direct
+from powerbalance.powersum import powersum_closed, powersum_direct
 
 
 def test_decide_three_has_no_candidates():
@@ -423,8 +423,35 @@ def test_fast_decide_never_reaches_faulhaber(monkeypatch):
         cert = decide(ell, mode=FAST)
         assert cert.verdict == NO_SOLUTION
         assert certificate_json(cert, include_timing=False) == text, ell
+    # an earlier paranoid decision may have left k's Faulhaber row in the memo
+    decider._closed_row.cache_clear()
     with pytest.raises(AssertionError, match="batch alone"):
         decide(27, mode=PARANOID)
+
+
+def test_closed_row_is_faulhaber_at_every_checked_m():
+    for k in range(1, 101):
+        row = decider._closed_row(k)
+        assert row == tuple(powersum_closed(k, m) for m in range(1, 42, 2)), k
+        assert len(row) == decider._CLOSED_CHECK_M_MAX // 2 + 1
+
+
+def test_warm_closed_row_memo_still_rejects_a_corrupted_batch(monkeypatch):
+    # the memo holds Faulhaber values only, so a batch corrupted after the
+    # rows were computed is compared with the true closed form
+    assert decide(27, mode=PARANOID).verdict == NO_SOLUTION
+    warm = decider._closed_row.cache_info()
+    assert warm.currsize > 0
+    _corrupt_first_batch_past_one(monkeypatch, lambda k, s: s + (k * (k + 1)) ** 2)
+    with pytest.raises(RuntimeError, match="disagrees with closed form: k=2, m=3"):
+        decide(27, mode=PARANOID)
+    assert decider._closed_row.cache_info().hits > warm.hits
+
+
+def test_per_k_memos_are_bounded():
+    for memo in (decider._closed_row, filters._radical):
+        maxsize = memo.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize <= 1024, memo
 
 
 def test_paranoid_signs_read_only_faulhaber_checked_sums(monkeypatch):
@@ -562,11 +589,12 @@ def test_deciding_in_process_never_loads_the_pool_machinery():
     env = {**os.environ, "PYTHONPATH": str(Path(powerbalance.__file__).resolve().parents[1])}
     code = ("import sys, powerbalance\n"
             "assert powerbalance.decide(5).verdict == 'NO_SOLUTION'\n"
-            "print('concurrent.futures.process' in sys.modules, 'dataclasses' in sys.modules)")
+            "print('concurrent.futures.process' in sys.modules, 'dataclasses' in sys.modules,\n"
+            "      'json' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False False\n"
+    assert proc.stdout == "False False False\n"
 
 
 class _SpyPool:

@@ -32,6 +32,17 @@ def test_radical_filter():
     assert filter_radical(2, 4).outcome == FAIL
 
 
+def test_radical_memo_is_rad_of_k_times_k_plus_1():
+    for k in range(1, 1201):
+        assert filters._radical(k) == rad(k * (k + 1)), k
+
+
+def test_kummer_row_is_the_binomial_valuation_plus_popcount_of_ell():
+    for ell in range(1, 400):
+        row = filters._kummer_row(ell)
+        assert row == tuple(nu2_binomial(ell, m) + ell.bit_count() for m in range(1, ell + 1, 2)), ell
+
+
 def test_filter_report_is_a_named_tuple():
     # immutability and the missing __dict__ are checked for every record type in test_decider
     report = filter_radical(2, 9)

@@ -151,8 +151,8 @@ MUTANTS = (
     ),
     Mutant(
         "kummer_row_shifted_by_2", "filters.py",
-        "for m in range(1, ell + 1, 2))",
-        "for m in range(3, ell + 3, 2))",
+        "map(int.bit_count, range(1, ell + 1, 2))",
+        "map(int.bit_count, range(3, ell + 3, 2))",
         ("tests/test_filters.py::test_collapse_holds_on_window_candidates",),
     ),
     Mutant(
@@ -160,6 +160,25 @@ MUTANTS = (
         "rows.append(base.values())",
         "pass",
         ("tests/test_powersum.py::test_batch_advances_from_a_previous_batch",),
+    ),
+    Mutant(
+        "closed_row_memo_at_the_wrong_k", "decider.py",
+        "closed = _closed_row(k)",
+        "closed = _closed_row(k + 1)",
+        ("tests/test_decider.py::test_warm_closed_row_memo_still_rejects_a_corrupted_batch",
+         "tests/test_decider.py::test_certificate_bytes_are_pinned"),
+    ),
+    Mutant(
+        "closed_form_compared_at_the_first_m_only", "decider.py",
+        "any(map(ne, sums.values(), closed))",
+        "any(map(ne, sums.values(), closed[:1]))",
+        ("tests/test_decider.py::test_warm_closed_row_memo_still_rejects_a_corrupted_batch",),
+    ),
+    Mutant(
+        "closed_row_stops_short", "decider.py",
+        "for m in range(1, _CLOSED_CHECK_M_MAX + 1, 2))",
+        "for m in range(1, _CLOSED_CHECK_M_MAX - 1, 2))",
+        ("tests/test_decider.py::test_closed_row_is_faulhaber_at_every_checked_m",),
     ),
     Mutant(
         "decide_passes_w_for_g", "decider.py",
@@ -176,8 +195,8 @@ MUTANTS = (
     ),
     Mutant(
         "radical_filter_on_rad_k", "filters.py",
-        "r = rad(k * (k + 1))",
-        "r = rad(k)",
+        "return rad(k * (k + 1))",
+        "return rad(k)",
         ("tests/test_filters.py::test_radical_filter",),
     ),
     Mutant(
