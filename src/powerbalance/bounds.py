@@ -13,7 +13,21 @@ each ell.  The integer list needs none of that tightening: writing
 ell - 3 = 12q + r with 0 <= r <= 11 gives a = q + r/12 + 1/(6*ell) with a
 fractional part below 1, so floor(ell*K + a) is already ell*K + q.  For
 ell in (1, 2), a = b = 0 and the window is the single point ell*K.
-With A = (ell-1)(ell-2), both ends of a window share the denominator
+
+The same algebra says exactly which windows hold an integer.  Since
+floor(upper) = ell*K + q, the window of k holds one exactly when its lower
+end is at most ell*K + q, that is when b/K >= a - q.  With A = (ell-1)(ell-2),
+A - 12 q ell = r ell + 2, so a - q = (r ell + 2) / (12 ell) > 0, and
+b = A^2 / (72 ell^3); the condition is therefore
+
+    6 ell^2 (r ell + 2) K <= A^2,   i.e.   K <= K* = A^2 / (6 ell^2 (r ell + 2)).
+
+As r ell + 2 >= 2, K* never exceeds the sharp cap A^2 / (12 ell^2), and the
+two coincide when r = 0.  So the windows that hold integers are exactly
+those of k = 1..k*, k* the largest k with k(k+1) <= floor(K*)
+(nonempty_K_bound), and every window from k* + 1 on is empty.
+
+Both ends of a window share the denominator
 den = 72 ell^3 K, straight from the definitions of a and b:
 
     upper = (72 ell^4 K^2 + 6 ell^2 A K) / den,
@@ -31,6 +45,7 @@ nonpositive at the lower end and nonnegative at the upper end.
 """
 
 from fractions import Fraction
+from math import isqrt
 
 from .equation import build_f, eval_f, sign_changes
 
@@ -69,6 +84,34 @@ def weak_K_bound(ell: int) -> Fraction:
     if ell < 3:
         raise ValueError(f"the K bound applies for ell >= 3, got {ell}")
     return Fraction((ell - 2) ** 2, 12)
+
+
+def largest_k(C: int) -> int:
+    """Largest k >= 0 with k(k+1) <= C, for an integer C >= 0.
+
+    k(k+1) <= C exactly when (2k+1)^2 <= 4C + 1, so k is read off one isqrt.
+    """
+    return (isqrt(4 * C + 1) - 1) // 2
+
+
+def k_max(ell: int) -> int:
+    """Last k under the sharp K cap: the largest k with 12 ell^2 k(k+1) <= A^2.
+
+    A = (ell-1)(ell-2); this is 0 when no k qualifies, as for ell <= 7.
+    """
+    A = (ell - 1) * (ell - 2)
+    return largest_k(A * A // (12 * ell * ell))
+
+
+def nonempty_K_bound(ell: int) -> int:
+    """floor(K*) = floor(A^2 / (6 ell^2 (r ell + 2))), r = (ell-3) mod 12.
+
+    For ell >= 3 the window of k holds an integer exactly when k(k+1) is at
+    most this (see the module docstring), so largest_k of it is k*.
+    """
+    A = (ell - 1) * (ell - 2)
+    r = (ell - 3) % 12
+    return A * A // (6 * ell * ell * (r * ell + 2))
 
 
 def integers_in_window(window: tuple[int, int, int]) -> list[int]:

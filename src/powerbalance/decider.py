@@ -3,7 +3,11 @@
 For ell in (1, 2) the answer is the classical closed-form family.  For
 ell >= 3 the procedure is:
 
-  1. enumerate k with k(k+1) <= (ell-1)^2 (ell-2)^2 / (12 ell^2);
+  1. enumerate k = 1..k*, the k whose windows hold an integer: those with
+     k(k+1) <= K* = A^2 / (6 ell^2 (r ell + 2)), A = (ell-1)(ell-2) and
+     r = (ell-3) mod 12 (bounds.nonempty_K_bound, read off by
+     bounds.largest_k).  K* never exceeds the sharp cap
+     A^2 / (12 ell^2), and every window past k* is empty;
   2. for each k, list the integers inside the exact root window;
   3. run the 2-adic filters on each integer candidate;
   4. settle the sign of f(k, w) for every survivor exactly, as the sign of
@@ -28,19 +32,24 @@ _CLOSED_ROW_MEMO = 1024 rows (_closed_row), and compared with every batch
 of that k; the memo holds closed-form values only, never a batch's.  It
 requires each series sign to equal equation.interval_sign, the sign of
 LHS - RHS proven from the definition by integer bounds.  And it checks
-that every window between the sharp and the weak K bound is empty.  The
-outcome is a Certificate -- a machine-readable record of every window,
-filter outcome and evaluation sign -- serializable to JSON with all exact
-values rendered as decimal or "p/q" strings, never floats.  It stores ell,
-the per-k records, the mode and the elapsed time; the verdict, solutions
-and ell = 1, 2 family are derived from them.  Each window is stored as the
-integer triple that bounds.compute_bounds returns, and reduced only when
-it is rendered.  Certificate (ell, candidates, mode, elapsed_ms) and its
-records, CandidateRecord (k, window, per_candidate) and CandidateEvaluation
-(w, filters, f_sign), are immutable named tuples, like filters.FilterReport.
+that the windows of k = 1..k* each hold an integer and that every window
+past k*, up to the weak K bound, holds none.  The outcome is a
+Certificate -- a machine-readable record of every window that holds an
+integer, every filter outcome and evaluation sign -- serializable to JSON
+with all exact values rendered as decimal or "p/q" strings, never floats.
+It stores ell, the per-k records of k = 1..k*, the mode and the elapsed
+time; the verdict, solutions and ell = 1, 2 family are derived from them.
+Each window is stored as the integer triple that bounds.compute_bounds
+returns, and reduced only when it is rendered.  Certificate (ell,
+candidates, mode, elapsed_ms) and its records, CandidateRecord (k, window,
+per_candidate) and CandidateEvaluation (w, filters, f_sign), are immutable
+named tuples, like filters.FilterReport.
 
 certificate_json writes the canonical text directly, one f-string per
-window and per candidate, keys in sorted order and every string escaped by
+window and per candidate.  The text lists every window under the sharp
+cap: the records, then each window from k* + 1 to bounds.k_max(ell), taken
+from compute_bounds and written with an empty "ws", no record built.  Keys
+are in sorted order and every string is escaped by
 _json.encode_basestring_ascii, the C escaper json.dumps uses, imported from
 where json.encoder takes it so that deciding never loads the json package:
 the text is byte for byte json.dumps(tree, sort_keys=True, separators=(",",
@@ -51,14 +60,15 @@ import os
 import time
 from _json import encode_basestring_ascii as _esc
 from collections import deque, namedtuple
-from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import islice, repeat
 from math import gcd
 from operator import attrgetter, mod, ne
 
 from .arith import nu
-from .bounds import compute_bounds, corollary_K_bound, integers_in_window, weak_K_bound
+from .bounds import compute_bounds, integers_in_window, k_max, largest_k, nonempty_K_bound, weak_K_bound
+# corollary_K_bound is unused here, but bench/spans.py patches the name in this module
+from .bounds import corollary_K_bound  # noqa: F401
 # build_f and eval_f are unused here, but bench/spans.py patches both names in this module
 from .equation import balance_sign, build_f, eval_f, interval_sign, solution_family  # noqa: F401
 from .filters import (
@@ -242,12 +252,10 @@ def decide(ell: int, mode: str = FAST) -> Certificate:
     if ell <= 2:
         return Certificate(ell, (), mode, _elapsed_ms(t0))
 
-    sharp = corollary_K_bound(ell)
-    cap_num, cap_den = sharp.numerator, sharp.denominator
+    k_star = largest_k(nonempty_K_bound(ell))
     records = []
     batch = None
-    k = 1
-    while k * (k + 1) * cap_den <= cap_num:
+    for k in range(1, k_star + 1):
         window = compute_bounds(ell, k)
         ws = integers_in_window(window)
         sums = valuations = None
@@ -275,32 +283,36 @@ def decide(ell: int, mode: str = FAST) -> Certificate:
                     reports.append(check_modular_collapse(ell, k, nu(w), valuations))
             evaluations.append(CandidateEvaluation(w, tuple(reports), sign))
         records.append(CandidateRecord(k, window, tuple(evaluations)))
-        k += 1
 
     if mode == PARANOID:
-        _consistency_scan_beyond_bound(ell, k, sharp)
+        _check_nonempty_bound(ell, records)
 
     return Certificate(ell, tuple(records), mode, _elapsed_ms(t0))
 
 
-def _consistency_scan_beyond_bound(ell: int, k_start: int, sharp: Fraction) -> None:
-    """Check that no window past the sharp K bound holds an integer (paranoid only).
+def _check_nonempty_bound(ell: int, records: list[CandidateRecord]) -> None:
+    """Check that the windows of k = 1..k* are exactly those that hold integers (paranoid only).
 
-    The sharp bound is derived, not assumed: scanning every k up to the
-    weaker (ell-2)^2/12 bound and listing each window's integers confirms
-    the derivation did not discard a candidate, let alone a solution.
+    records are decide's, for k = 1..k*.  Each must list an integer, and
+    every window past k*, up to the weaker (ell-2)^2/12 bound and so past
+    the sharp cap too, must list none.  K* is derived, not assumed: listing
+    each window's integers confirms the derivation neither kept an empty
+    window nor dropped a candidate, let alone a solution.
     """
+    for rec in records:
+        if not rec.per_candidate:
+            raise RuntimeError(
+                f"K-bound consistency violated: window k={rec.k} holds no integer "
+                f"at ell={ell}, below K*"
+            )
     weak = weak_K_bound(ell)
-    weak_num, weak_den = weak.numerator, weak.denominator
-    k = k_start
-    while k * (k + 1) * weak_den <= weak_num:
+    for k in range(len(records) + 1, largest_k(weak.numerator // weak.denominator) + 1):
         ws = integers_in_window(compute_bounds(ell, k))
         if ws:
             raise RuntimeError(
                 f"K-bound consistency violated: window k={k} holds {ws} "
-                f"at ell={ell}, beyond the sharp bound {sharp}"
+                f"at ell={ell}, beyond K*"
             )
-        k += 1
 
 
 def _pool_size(workers: int, tasks: int) -> int:
@@ -368,11 +380,20 @@ def _evaluation_json(ev: CandidateEvaluation) -> str:
     return f'{{"f_sign":{sign},"filters":{{{filters}}},"status":{_esc(ev.status)},"w":"{ev.w}"}}'
 
 
+def _window_json(k: int, window: tuple[int, int, int]) -> str:
+    lower, upper, den = window
+    return f'"k":"{k}","window":["{_ratio_str(lower, den)}","{_ratio_str(upper, den)}"]'
+
+
 def _record_json(rec: CandidateRecord) -> str:
-    lower, upper, den = rec.window
-    ws = ",".join(map(_evaluation_json, rec.per_candidate)) if rec.per_candidate else ""
-    window = f'"{_ratio_str(lower, den)}","{_ratio_str(upper, den)}"'
-    return f'{{"k":"{rec.k}","window":[{window}],"ws":[{ws}]}}'
+    ws = ",".join(map(_evaluation_json, rec.per_candidate))
+    return f'{{{_window_json(rec.k, rec.window)},"ws":[{ws}]}}'
+
+
+def _empty_windows_json(ell: int, k_first: int) -> list[str]:
+    """The windows of k_first..k_max(ell), each rendered as a record with no integers."""
+    return [f'{{{_window_json(k, compute_bounds(ell, k))},"ws":[]}}'
+            for k in range(k_first, k_max(ell) + 1)]
 
 
 def certificate_json(cert: Certificate, include_timing: bool = True) -> str:
@@ -382,7 +403,9 @@ def certificate_json(cert: Certificate, include_timing: bool = True) -> str:
     escaped as json.dumps escapes it, so it equals
     json.dumps(..., sort_keys=True, separators=(",", ":")) of the same tree.
     """
-    parts = [f'"candidates":[{",".join(map(_record_json, cert.candidates))}]']
+    records = [*map(_record_json, cert.candidates),
+               *_empty_windows_json(cert.ell, len(cert.candidates) + 1)]
+    parts = [f'"candidates":[{",".join(records)}]']
     if include_timing:
         parts.append(f'"elapsed_ms":{cert.elapsed_ms}')
     parts.append(f'"ell":{cert.ell}')

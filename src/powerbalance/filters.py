@@ -20,7 +20,7 @@ the row of 2-adic valuations of the power sums (sum_valuations, built
 once per batch by the caller and shared by every replay of that k), never
 w itself.  Callers gate it on the radical filter alone, whose PASS makes
 g >= 1.  That filter factors k(k+1) once per k per process, through a
-memo of at most _RADICAL_MEMO = 1024 radicals.
+memo of at most _RADICAL_MEMO = 3000 radicals.
 The replay adds three rows over odd m, element by element: that valuation
 row, the Kummer row popcount(m) + popcount(ell-m) of the binomial
 coefficients (kept per ell), and the part that is linear in m.  The part
@@ -40,9 +40,9 @@ PASS = "PASS"
 FAIL = "FAIL"
 INCONCLUSIVE = "INCONCLUSIVE"
 
-# Radicals _radical keeps: every k of a sweep up to ell = 3500 (k below
-# ell / sqrt(12)).
-_RADICAL_MEMO = 1024
+# Radicals _radical keeps: every k of a sweep up to ell = 10^4 (k below
+# ell / sqrt(12), at most bounds.k_max(10^4) = 2885), small ints all.
+_RADICAL_MEMO = 3000
 
 
 class FilterReport(namedtuple("FilterReport", "name outcome detail")):

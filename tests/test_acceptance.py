@@ -7,6 +7,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete.
 """
 
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -191,4 +192,8 @@ def test_criterion_10_deterministic_across_workers(fast_sweep):
     serial_stream = "\n".join(certificate_json(c, include_timing=False) for c in serial)
     parallel_stream = "\n".join(certificate_json(c, include_timing=False) for c in parallel)
     assert serial_stream == parallel_stream
-    report(10, "certificate streams byte-identical with 1 and 8 workers (timing excluded)")
+    # and equal to the stream pinned when every window under the cap was a record
+    digest = hashlib.sha256(serial_stream.replace("\n", "").encode()).hexdigest()
+    assert digest == "9775e9d6fabeabe591a7ec7a268e4346baa389dda7642495604bdd51230f61fb"
+    report(10, "certificate streams byte-identical with 1 and 8 workers and to the pinned "
+               "digest (timing excluded)")

@@ -13,6 +13,9 @@ from powerbalance.bounds import (
     compute_bounds,
     corollary_K_bound,
     integers_in_window,
+    k_max,
+    largest_k,
+    nonempty_K_bound,
     weak_K_bound,
 )
 
@@ -73,6 +76,54 @@ def test_K_bound_sharp_below_weak():
         corollary_K_bound(2)
     with pytest.raises(ValueError):
         weak_K_bound(2)
+
+
+def test_largest_k_is_read_off_one_isqrt():
+    # every C up to 10^5, and C = K - 1, K, K + 1 around large K = k(k+1)
+    k = 0
+    for C in range(10**5 + 1):
+        while (k + 1) * (k + 2) <= C:
+            k += 1
+        assert largest_k(C) == k, C
+    for k in (10**6, 10**20 + 7):
+        K = k * (k + 1)
+        assert (largest_k(K - 1), largest_k(K), largest_k(K + 1)) == (k - 1, k, k)
+
+
+def test_k_max_is_the_last_k_under_the_sharp_cap():
+    for ell in [*range(1, 400), 999, 1000, 9999, 10**4]:
+        A2 = ((ell - 1) * (ell - 2)) ** 2
+        k = k_max(ell)
+        assert 12 * ell**2 * k * (k + 1) <= A2 < 12 * ell**2 * (k + 1) * (k + 2), ell
+        if ell >= 3:
+            assert k * (k + 1) <= corollary_K_bound(ell) < (k + 1) * (k + 2), ell
+    assert [k_max(ell) for ell in (3, 7, 8, 27, 999, 10**4)] == [0, 0, 1, 6, 287, 2885]
+
+
+def test_K_star_examples():
+    # ell - 3 = 12q + r; K* = A^2 / (6 ell^2 (r ell + 2)) is the sharp cap at r = 0
+    for ell in (3, 15, 27, 999):
+        assert nonempty_K_bound(ell) == int(corollary_K_bound(ell)), ell
+    assert nonempty_K_bound(8) == 42**2 // (6 * 64 * 42) == 0
+    assert nonempty_K_bound(1000) == 998**2 * 999**2 // (6 * 10**6 * 1002) == 165
+    for ell in range(3, 3001):
+        assert nonempty_K_bound(ell) <= corollary_K_bound(ell), ell
+
+
+def test_windows_hold_integers_exactly_up_to_k_star():
+    # the exact lemma: for every k up to the weak cap (ell-2)^2/12, the
+    # window of k holds an integer exactly when k <= k*
+    windows = nonempty = 0
+    for ell in range(3, 3001):
+        k_star = largest_k(nonempty_K_bound(ell))
+        weak = weak_K_bound(ell)
+        for k in range(1, largest_k(weak.numerator // weak.denominator) + 1):
+            lower, upper, den = compute_bounds(ell, k)
+            holds = -(-lower // den) <= upper // den
+            assert holds == (k <= k_star), (ell, k)
+            windows += 1
+            nonempty += holds
+    assert (windows, nonempty) == (1294749, 124675)
 
 
 def test_integer_window_examples():

@@ -1,6 +1,7 @@
 """Command-line interface: flags, formats, exit codes."""
 
 import contextlib
+import hashlib
 import json
 import os
 import signal
@@ -14,6 +15,7 @@ import pytest
 import powerbalance
 from powerbalance import cli
 from powerbalance.cli import SWEEP_CSV_COLUMNS, main
+from powerbalance.decider import certificate_json, decide
 from powerbalance.filters import FAIL, FilterReport
 
 
@@ -80,6 +82,23 @@ def test_sweep_csv(capsys):
     assert lines[3].startswith("3,NO_SOLUTION,")
     ells = [int(line.split(",")[0]) for line in lines[1:]]
     assert ells == list(range(1, 13))
+
+
+def test_sweep_csv_counts_every_window_under_the_sharp_cap(capsys):
+    # num_candidate_k counts the windows the certificate text lists, empty
+    # ones included; the rows of 3..200 without elapsed_ms are pinned as
+    # they were when every such window was a record
+    code, out = run(capsys, "sweep", "--ell-min", "3", "--ell-max", "200")
+    assert code == 0
+    rows = [line.rsplit(",", 1)[0] for line in out.splitlines()]
+    text = "".join(row + "\n" for row in rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "46fd720ed2d371a949a7082a537a50b87541147ef53c483936c8843a00fbca23")
+    for row in rows[1:]:
+        ell, _, n_k, n_w = row.split(",")
+        data = json.loads(certificate_json(decide(int(ell)), include_timing=False))
+        assert int(n_k) == len(data["candidates"]), ell
+        assert int(n_w) == sum(len(rec["ws"]) for rec in data["candidates"]), ell
 
 
 def test_sweep_jsonl(capsys):

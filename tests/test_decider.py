@@ -16,7 +16,7 @@ import pytest
 
 import powerbalance
 from powerbalance import decider, equation, filters, powersum
-from powerbalance.bounds import compute_bounds, corollary_K_bound
+from powerbalance.bounds import compute_bounds, k_max, largest_k, nonempty_K_bound
 from powerbalance.decider import (
     EXCLUDED_BY_EVALUATION,
     EXCLUDED_BY_FILTER,
@@ -45,40 +45,67 @@ def test_decide_three_has_no_candidates():
 
 
 def test_decide_eight_has_one_empty_window():
+    # the window of k = 1 lies under the sharp cap and holds no integer: it is
+    # no record, but the text still lists it
     cert = decide(8)
     assert cert.verdict == NO_SOLUTION
-    assert len(cert.candidates) == 1
-    rec = cert.candidates[0]
-    assert rec.k == 1 and rec.integer_candidates == ()
+    assert cert.candidates == ()
+    data = json.loads(certificate_json(cert, include_timing=False))
+    assert [(rec["k"], rec["ws"]) for rec in data["candidates"]] == [("1", [])]
 
 
 def test_candidate_k_are_exactly_those_under_the_sharp_cap():
-    # k runs from 1 to the largest k with 12 ell^2 k(k+1) <= (ell-1)^2 (ell-2)^2
+    # the text lists k = 1 to the largest k with 12 ell^2 k(k+1) <= A^2,
+    # A = (ell-1)(ell-2); the records stop at k*, the largest k with
+    # 6 ell^2 (r ell + 2) k(k+1) <= A^2, r = (ell-3) mod 12, and each holds
+    # an integer
     ells = {3, 4, 5, 14, 15, 27, 2999, 3000, *random.Random(11).sample(range(3, 3001), 40)}
     for ell in sorted(ells):
         A2 = ((ell - 1) * (ell - 2)) ** 2
-        k_max = 0
-        while 12 * ell**2 * (k_max + 1) * (k_max + 2) <= A2:
-            k_max += 1
+        cap = star = 0
+        while 12 * ell**2 * (cap + 1) * (cap + 2) <= A2:
+            cap += 1
+        while 6 * ell**2 * ((ell - 3) % 12 * ell + 2) * (star + 1) * (star + 2) <= A2:
+            star += 1
         cert = decide(ell)
-        assert [rec.k for rec in cert.candidates] == list(range(1, k_max + 1)), ell
+        data = json.loads(certificate_json(cert, include_timing=False))
+        assert [rec["k"] for rec in data["candidates"]] == [str(k) for k in range(1, cap + 1)], ell
+        assert [rec.k for rec in cert.candidates] == list(range(1, star + 1)), ell
+        assert all(rec.per_candidate for rec in cert.candidates), ell
+        assert all(rec["ws"] == [] for rec in data["candidates"][star:]), ell
 
 
 def test_no_window_past_the_cap_is_nonempty():
-    # from the first k past the sharp cap up to the weak cap, every window
-    # is empty, so the paranoid scan passes for every ell
-    for ell in range(3, 3001):
-        cap = corollary_K_bound(ell)
-        k = 1
-        while k * (k + 1) <= cap:
-            k += 1
-        decider._consistency_scan_beyond_bound(ell, k, cap)
+    # the records of decide hold integers and every window past them, up
+    # to the weak cap, is empty, so the paranoid check passes
+    for ell in [*range(3, 401), 999, 1000, 1503, 2999, 3000]:
+        decider._check_nonempty_bound(ell, decide(ell).candidates)
 
 
 def test_scan_beyond_the_cap_raises_on_a_nonempty_window():
-    # started at k = 1, the scan meets the nonempty windows under the cap
-    with pytest.raises(RuntimeError, match="K-bound consistency violated"):
-        decider._consistency_scan_beyond_bound(27, 1, corollary_K_bound(27))
+    # records that stop one k short leave a nonempty window to the scan,
+    # and an empty record fails the check below K*
+    records = decide(27).candidates
+    assert [rec.k for rec in records] == list(range(1, 7))
+    with pytest.raises(RuntimeError, match="window k=6 holds .* beyond K"):
+        decider._check_nonempty_bound(27, records[:-1])
+    empty = CandidateRecord(7, compute_bounds(27, 7), ())
+    with pytest.raises(RuntimeError, match="window k=7 holds no integer at ell=27, below K"):
+        decider._check_nonempty_bound(27, (*records, empty))
+
+
+@pytest.mark.parametrize("ell", [27, 64, 1000])  # k* = k_max = 6; k* = 2; k* = 12
+@pytest.mark.parametrize("step", [1, -1])
+def test_paranoid_mode_rejects_K_star_one_step_off(monkeypatch, ell, step):
+    # K* moved to the next K = k(k+1) up or down shifts k* by one: paranoid
+    # mode then meets an empty record or a nonempty window past the records
+    k_star = largest_k(nonempty_K_bound(ell))
+    off = k_star + step
+    monkeypatch.setattr(decider, "nonempty_K_bound", lambda e: off * (off + 1))
+    assert len(decide(ell, mode=FAST).candidates) == off
+    message = "holds no integer" if step > 0 else "beyond K"
+    with pytest.raises(RuntimeError, match=f"K-bound consistency violated: .*{message}"):
+        decide(ell, mode=PARANOID)
 
 
 def test_decide_two_reports_family():
@@ -130,6 +157,21 @@ CERTIFICATE_DIGESTS = {
 def test_certificate_bytes_are_pinned(ell, mode):
     text = certificate_json(decide(ell, mode), include_timing=False)
     assert hashlib.sha256(text.encode()).hexdigest() == CERTIFICATE_DIGESTS[ell, mode]
+
+
+# SHA-256 of the certificate texts of a sweep, timing excluded, joined with
+# nothing: the paranoid 3..300 and fast large-ell benchmark workloads
+STREAM_DIGESTS = {
+    PARANOID: "565de24372a23d736c07d3a66215f751f1961dc0b5c2e3533b3afeb405fe92b9",
+    FAST: "df0d107514a41d64a0f4c50b75945acde93bdfeab9ade6f33fa425724742db9b",
+}
+
+
+@pytest.mark.parametrize("mode", [PARANOID, FAST])
+def test_certificate_streams_are_pinned(mode):
+    certs = sweep(3, 300, mode=PARANOID) if mode == PARANOID else map(decide, LARGE_ELL_DRAW)
+    text = "".join(certificate_json(c, include_timing=False) for c in certs)
+    assert hashlib.sha256(text.encode()).hexdigest() == STREAM_DIGESTS[mode]
 
 
 def test_public_api():
@@ -211,10 +253,10 @@ def test_window_ends_render_as_reduced_fractions():
 
 
 def test_fast_decide_builds_no_fraction_per_window(monkeypatch):
-    # every window of decide(999) stays an integer triple; the only Fraction
-    # fast mode may build is the sharp K cap from corollary_K_bound.  A
-    # cleared Faulhaber memo would build Bernoulli Fractions if fast mode
-    # reached the closed form.
+    # every window of decide(999) stays an integer triple, and k* and the
+    # sharp cap are integer bounds, so deciding and rendering build no
+    # Fraction at all.  A cleared Faulhaber memo would build Bernoulli
+    # Fractions if fast mode reached the closed form.
     powersum._faulhaber.cache_clear()
     built = []
     real_new = Fraction.__new__
@@ -224,9 +266,9 @@ def test_fast_decide_builds_no_fraction_per_window(monkeypatch):
         return real_new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", counting_new)
-    cert = decide(999)
-    assert len(cert.candidates) == 287
-    assert len(built) <= 1, len(built)
+    text = certificate_json(decide(999), include_timing=False)
+    assert not built, len(built)
+    assert len(json.loads(text)["candidates"]) == 287
 
 
 def test_decide_validation():
@@ -449,9 +491,12 @@ def test_warm_closed_row_memo_still_rejects_a_corrupted_batch(monkeypatch):
 
 
 def test_per_k_memos_are_bounded():
-    for memo in (decider._closed_row, filters._radical):
-        maxsize = memo.cache_info().maxsize
-        assert maxsize is not None and 0 < maxsize <= 1024, memo
+    maxsize = decider._closed_row.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize <= 1024
+    # the radical memo keeps every k under the sharp cap up to ell = 10^4,
+    # so an ascending sweep that far factors each k(k+1) once
+    maxsize = filters._radical.cache_info().maxsize
+    assert maxsize is not None and k_max(10**4) <= maxsize <= 4096
 
 
 def test_paranoid_signs_read_only_faulhaber_checked_sums(monkeypatch):
@@ -715,9 +760,21 @@ def test_certificate_timing_can_be_excluded():
     assert "elapsed_ms" in with_timing and "elapsed_ms" not in without
 
 
+def _empty_windows(ell, k_first):
+    """Every window from k_first to the sharp cap, from the definitions of a and b."""
+    a = Fraction((ell - 1) * (ell - 2), 12 * ell)
+    b = 2 * a * a / ell
+    k = k_first
+    while k * (k + 1) <= 12 * a * a:  # 12 a^2 = A^2 / (12 ell^2), the sharp cap
+        K = k * (k + 1)
+        yield {"k": str(k), "window": [str(ell * K + a - b / K), str(ell * K + a)], "ws": []}
+        k += 1
+
+
 def _reference_tree(cert, include_timing):
     """The certificate as a tree of dicts, lists and strings, built field by field:
-    certificate_json must render it as json.dumps does."""
+    certificate_json must render it as json.dumps does.  The records are
+    followed by every window past them up to the sharp cap, each empty."""
     out = {
         "schema": "1",
         "ell": cert.ell,
@@ -743,7 +800,7 @@ def _reference_tree(cert, include_timing):
                 ],
             }
             for rec in cert.candidates
-        ],
+        ] + list(_empty_windows(cert.ell, len(cert.candidates) + 1)),
     }
     family = cert.family
     if family is not None:

@@ -106,6 +106,35 @@ MUTANTS = (
         ("tests/test_bounds.py::test_integer_window_examples",),
     ),
     Mutant(
+        "k_star_bound_off_by_one", "bounds.py",
+        "(r * ell + 2)",
+        "(r * ell + 1)",
+        ("tests/test_bounds.py::test_windows_hold_integers_exactly_up_to_k_star",
+         "tests/test_decider.py::test_certificate_bytes_are_pinned"),
+    ),
+    Mutant(
+        "empty_windows_rendered_from_one_k_late", "decider.py",
+        "_empty_windows_json(cert.ell, len(cert.candidates) + 1)",
+        "_empty_windows_json(cert.ell, len(cert.candidates) + 2)",
+        ("tests/test_decider.py::test_decide_eight_has_one_empty_window",
+         "tests/test_decider.py::test_candidate_k_are_exactly_those_under_the_sharp_cap",
+         "tests/test_decider.py::test_certificate_json_renders_the_reference_tree"),
+    ),
+    Mutant(
+        "nonempty_check_passes_an_empty_record", "decider.py",
+        "        if not rec.per_candidate:\n",
+        "        if rec.per_candidate is None:\n",
+        ("tests/test_decider.py::test_scan_beyond_the_cap_raises_on_a_nonempty_window",
+         "tests/test_decider.py::test_paranoid_mode_rejects_K_star_one_step_off[1-64]"),
+    ),
+    Mutant(
+        "nonempty_scan_starts_one_k_late", "decider.py",
+        "range(len(records) + 1, ",
+        "range(len(records) + 2, ",
+        ("tests/test_decider.py::test_scan_beyond_the_cap_raises_on_a_nonempty_window",
+         "tests/test_decider.py::test_paranoid_mode_rejects_K_star_one_step_off[-1-27]"),
+    ),
+    Mutant(
         "ratio_str_unreduced", "decider.py",
         'return f"{p // g}/{q // g}"',
         'return f"{p}/{q}"',
