@@ -29,9 +29,9 @@ from .arith import nu
 from .bounds import check_appendix_identity, check_sandwich, compute_bounds, integers_in_window, k_max
 from .decider import FAMILY, FAST, PARANOID, certificate_json, decide, sweep
 from .equation import verify_instance
-from .filters import PASS, check_modular_collapse, filter_radical, sum_valuations
+from .filters import PASS, check_modular_collapse, filter_radical
 from .oracle import oracle_search
-from .powersum import check_carlitz_von_staudt, check_macmillan_sondow, powersum_batch
+from .powersum import check_carlitz_von_staudt, check_macmillan_sondow
 
 SWEEP_CSV_COLUMNS = ["ell", "verdict", "num_candidate_k", "num_integer_candidates", "elapsed_ms"]
 
@@ -194,13 +194,11 @@ def _lemma_collapse(args):
     windows = ((ell, k, integers_in_window(compute_bounds(ell, k)))
                for ell in range(5, args.ell_max + 1) for k in range(1, args.k_max + 1))
     for ell, k, ws in chain(fixed, windows):
-        # a radical FAIL covers every odd w, since 2 | k(k+1)
-        passing = [w for w in ws if not filter_radical(k, w).failed]
-        if not passing:
-            continue
-        valuations = sum_valuations(k, powersum_batch(k, ell))
-        for w in passing:
-            report = check_modular_collapse(ell, k, nu(w), valuations)
+        # a radical PASS makes w even, since 2 | k(k+1), so g >= 1
+        for w in ws:
+            if filter_radical(k, w).failed:
+                continue
+            report = check_modular_collapse(ell, k, nu(w))
             if report.outcome != PASS:
                 return f"ell={ell}, k={k}, w={w}: {report.detail}"
     return None

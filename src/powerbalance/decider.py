@@ -17,15 +17,18 @@ ell >= 3 the procedure is:
 
 The verdict never rests on a filter alone: a filter may only short-circuit
 the exact evaluation in fast mode, which reads every power sum from one
-route, the running powersum_batch.  Each batch's row of 2-adic valuations
-(filters.sum_valuations) is built once and read by every collapse replay
-of that k.  The radical filter is the replay's one gate: every evaluated
+route, the running powersum_batch.  Every batch is checked against the
+MacMillan-Sondow lemma as soon as it is built, before any sign reads it:
+_check_valuations requires nu_2(S_1(k)) = f - 1 and nu_2(S_m(k)) = 2f - 2
+at every odd m >= 3, f = nu_2(k(k+1)), reading each sum's low bits only.
+The collapse replay takes its valuations from that lemma, so it reads no
+batch.  The radical filter is the replay's one gate: every evaluated
 candidate that passes it is replayed, on g = nu_2(w) rather than w.
 Paranoid mode compares independent routes and raises on any
 disagreement.  It evaluates every candidate, so no filter excluded a root.
 It checks each batch, before any sign reads it, against Carlitz-von Staudt
-for every m, against MacMillan-Sondow for every m on the shared valuation
-row, and against Faulhaber (powersum_closed) for m <= _CLOSED_CHECK_M_MAX,
+for every m, then against MacMillan-Sondow for every m, then against
+Faulhaber (powersum_closed) for m <= _CLOSED_CHECK_M_MAX,
 well above the m <= 7 the series sign reads at window integers.  Each k's
 Faulhaber row is evaluated once per process, behind a memo of at most
 _CLOSED_ROW_MEMO = 1024 rows (_closed_row), and compared with every batch
@@ -61,9 +64,9 @@ import time
 from _json import encode_basestring_ascii as _esc
 from collections import deque, namedtuple
 from functools import lru_cache, partial
-from itertools import islice, repeat
+from itertools import compress, islice, repeat
 from math import gcd
-from operator import attrgetter, mod, ne
+from operator import and_, attrgetter, mod, ne
 
 from .arith import nu
 from .bounds import compute_bounds, integers_in_window, k_max, largest_k, nonempty_K_bound, weak_K_bound
@@ -78,7 +81,6 @@ from .filters import (
     filter_g_ge_e_plus_1,
     filter_radical,
     filter_w_plus_1_primes,
-    sum_valuations,
 )
 from .powersum import powersum_batch, powersum_closed
 
@@ -194,30 +196,42 @@ def _closed_row(k: int) -> tuple[int, ...]:
     return tuple(powersum_closed(k, m) for m in range(1, _CLOSED_CHECK_M_MAX + 1, 2))
 
 
-def _crosscheck_powersums(k: int, sums: dict[int, int]) -> list[int]:
+def _check_valuations(k: int, sums: dict[int, int]) -> None:
+    """Raise unless every sum of a batch has the 2-adic valuation MacMillan-Sondow gives.
+
+    With f = nu_2(k(k+1)) that is nu_2(S_1(k)) = f - 1 and nu_2(S_m(k)) = 2f - 2
+    at every odd m >= 3.  A sum s has nu_2(s) = v exactly when
+    s & (2b - 1) == b, b = 2^v, so only its low v + 1 bits are read, however
+    long it is, and a sum of 0 fails too.  The error names the first bad m.
+    """
+    f = nu(k * (k + 1))
+    b1, b = 1 << (f - 1), 1 << (2 * f - 2)
+    if sums[1] & (2 * b1 - 1) != b1:
+        m = 1
+    else:
+        lows = map(and_, islice(sums.values(), 1, None), repeat(2 * b - 1))
+        m = next(compress(islice(sums, 1, None), map(ne, lows, repeat(b))), None)
+    if m is not None:
+        raise RuntimeError(f"power-sum batch failed 2-adic valuation: k={k}, m={m}")
+
+
+def _crosscheck_powersums(k: int, sums: dict[int, int]) -> None:
     """Paranoid validation of a batch of power sums against independent facts.
 
     Carlitz-von Staudt divisibility is checked for every sum in the batch,
-    and the MacMillan-Sondow valuation nu_2(S_m(k)) = 2 nu_2(k(k+1)) - 2 for
-    every m >= 3 on the batch's valuation row, which is returned for the
-    replays to share; the Faulhaber closed form is compared outright for
-    the small exponents where it is affordable, from k's memoized row.
+    then the MacMillan-Sondow valuations of every sum (_check_valuations),
+    then the Faulhaber closed form for the small exponents where it is
+    affordable, from k's memoized row.
     """
-    K = k * (k + 1)
-    half = K // 2
+    half = k * (k + 1) // 2
     if any(map(mod, sums.values(), repeat(half))):
         m = next(m for m, s in sums.items() if s % half)
         raise RuntimeError(f"power-sum batch failed divisibility: k={k}, m={m}")
-    row = sum_valuations(k, sums)
-    expected = 2 * nu(K) - 2
-    if any(map(ne, islice(row, 1, None), repeat(expected))):
-        m = next(m for m, v in zip(sums, row) if m >= 3 and v != expected)
-        raise RuntimeError(f"power-sum batch failed 2-adic valuation: k={k}, m={m}")
+    _check_valuations(k, sums)
     closed = _closed_row(k)
     if any(map(ne, sums.values(), closed)):
         m = next(m for m, s, c in zip(sums, sums.values(), closed) if s != c)
         raise RuntimeError(f"power-sum batch disagrees with closed form: k={k}, m={m}")
-    return row
 
 
 def _settle_sign(ell: int, k: int, w: int, excluded: bool, sums: dict[int, int], mode: str) -> int:
@@ -258,29 +272,29 @@ def decide(ell: int, mode: str = FAST) -> Certificate:
     for k in range(1, k_star + 1):
         window = compute_bounds(ell, k)
         ws = integers_in_window(window)
-        sums = valuations = None
+        sums = None
         evaluations = []
         for w in ws:
             reports = _run_filters(ell, k, w)
             excluded = any(r.failed for r in reports)
             sign = None
             if mode == PARANOID or not excluded:
-                # the sign and the replay read the batch; it runs on from the
-                # last k that needed one, so it costs (k - k0) * ell/2 steps.
-                # Every replay of this k shares one row of its valuations.
+                # the sign reads the batch; it runs on from the last k that
+                # needed one, so it costs (k - k0) * ell/2 steps, and is
+                # checked before the sign reads it
                 if sums is None:
                     sums = powersum_batch(k, ell, start=batch)
                     batch = (k, sums)
                     if mode == PARANOID:
-                        valuations = _crosscheck_powersums(k, sums)
+                        _crosscheck_powersums(k, sums)
                     else:
-                        valuations = sum_valuations(k, sums)
+                        _check_valuations(k, sums)
                 sign = _settle_sign(ell, k, w, excluded, sums, mode)
                 # reports[0] is the radical filter; passing it makes g >= 1,
                 # since 2 | k(k+1), which is all the replay needs.  The sharp
                 # cap admits no k below ell = 8, so ell >= 5 holds here
                 if not reports[0].failed:
-                    reports.append(check_modular_collapse(ell, k, nu(w), valuations))
+                    reports.append(check_modular_collapse(ell, k, nu(w)))
             evaluations.append(CandidateEvaluation(w, tuple(reports), sign))
         records.append(CandidateRecord(k, window, tuple(evaluations)))
 

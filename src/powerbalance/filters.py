@@ -15,22 +15,23 @@ check_modular_collapse is different in kind: it replays, on one concrete
 candidate, the 2-adic congruence argument that rules out solutions for
 ell >= 5.  There PASS means "the contradiction is witnessed on this
 candidate" and FAIL would mean the argument's valuation bookkeeping broke
-down -- a bug flag, not an exclusion verdict.  It takes (ell, k, g) and
-the row of 2-adic valuations of the power sums (sum_valuations, built
-once per batch by the caller and shared by every replay of that k), never
-w itself.  Callers gate it on the radical filter alone, whose PASS makes
-g >= 1.  That filter factors k(k+1) once per k per process, through a
-memo of at most _RADICAL_MEMO = 3000 radicals.
-The replay adds three rows over odd m, element by element: that valuation
-row, the Kummer row popcount(m) + popcount(ell-m) of the binomial
-coefficients (kept per ell), and the part that is linear in m.  The part
-that depends only on ell and g is added once.  It never forms C(ell, m).
+down -- a bug flag, not an exclusion verdict.  It takes (ell, k, g), never
+w itself and never a power sum: the valuations of the power sums come from
+the MacMillan-Sondow lemma, nu_2(S_m(k)) = 2f - 2 for odd m >= 3 and f - 1
+at m = 1, which decider checks on every batch it builds.  Callers gate it
+on the radical filter alone, whose PASS makes g >= 1.  That filter factors
+k(k+1) once per k per process, through a memo of at most
+_RADICAL_MEMO = 3000 radicals.
+The replay adds two rows over odd m, element by element: the Kummer row
+popcount(m) + popcount(ell-m) of the binomial coefficients (kept per ell),
+and the part that is linear in m.  The part that depends only on ell, f
+and g is added once, and the m = 1 term is then corrected to the lemma's
+f - 1.  It never forms C(ell, m).
 """
 
 from collections import namedtuple
 from functools import lru_cache
-from itertools import repeat
-from operator import add, and_, neg, sub
+from operator import add
 
 from .arith import nu, odd_prime_factors, rad
 # powersum_batch is unused here, but bench/spans.py patches the name in this module
@@ -116,34 +117,6 @@ def filter_3f_plus_3(ell: int, k: int) -> FilterReport:
     return FilterReport("3f_plus_3", PASS, f"3f + 3 = {3 * f + 3} <= ell = {ell}")
 
 
-# The low word of a power sum: its lowest set bit lies here unless the sum
-# is 0 or divisible by 2^64.
-_LOW_WORD = (1 << 64) - 1
-
-
-def _zero_power_sum(k: int, m: int):
-    raise ValueError(f"power sum S_{m}({k}) = 0 at m = {m} has no 2-adic valuation")
-
-
-def sum_valuations(k: int, sums: dict[int, int]) -> list[int]:
-    """nu_2(S_m(k)) for m = 1, 3, ..., in the order of sums, a powersum_batch result.
-
-    Each valuation is read from the sum's low 64 bits, which takes constant
-    time for a positive sum, however long it is; only a sum whose low 64
-    bits are all zero is read whole.  A sum of 0 has no 2-adic valuation
-    and raises ValueError naming its m.
-    """
-    lows = list(map(and_, sums.values(), repeat(_LOW_WORD)))
-    # the lowest set bit of each low word, whose bit length less 1 is the
-    # valuation, and -1 when the word is 0
-    row = list(map(sub, map(int.bit_length, map(and_, lows, map(neg, lows))), repeat(1)))
-    if -1 in row:
-        for i, (m, s) in enumerate(sums.items()):
-            if row[i] < 0:
-                row[i] = nu(s) if s else _zero_power_sum(k, m)
-    return row
-
-
 @lru_cache(maxsize=16)
 def _kummer_row(ell: int) -> tuple[int, ...]:
     """popcount(m) + popcount(ell - m) for every odd m from 1 up to ell."""
@@ -151,12 +124,13 @@ def _kummer_row(ell: int) -> tuple[int, ...]:
                      map(int.bit_count, range(ell - 1, -1, -2))))
 
 
-def check_modular_collapse(ell: int, k: int, g: int, valuations: list[int]) -> FilterReport:
+def check_modular_collapse(ell: int, k: int, g: int) -> FilterReport:
     """Replay the 2-adic collapse of the equation on one candidate.
 
-    g = nu_2(w) >= 1 and valuations = sum_valuations(k, powersum_batch(k, ell)),
-    or a longer row; one shorter than (top_m + 1) / 2 raises ValueError.  The
-    report is a function of (ell, k, g) and that row alone.
+    g = nu_2(w) >= 1.  The report is a function of (ell, k, g) alone: the
+    power sums enter through the MacMillan-Sondow lemma, with
+    f = nu_2(k(k+1)), as nu_2(S_1(k)) = f - 1 and nu_2(S_m(k)) = 2f - 2 at
+    every odd m >= 3.
 
     Write the equation as top_power(w) = sum of terms over odd m <= top_m.
     Even ell works with the equation divided by w, so with shift = 1 for
@@ -183,16 +157,14 @@ def check_modular_collapse(ell: int, k: int, g: int, valuations: list[int]) -> F
     s_exp = 2 * f - 1 + 2 * g + e
     shift = 1 - ell % 2  # even ell works with the w-divided equation
     top_m = ell - shift
-    count = (top_m + 1) // 2
-    if len(valuations) < count:
-        raise ValueError(f"need {count} power-sum valuations, got {len(valuations)}")
 
     # nu_2 of the term 2 * C(ell, m) * w^(ell-m-shift) * S_m(k) for m = 1, 3,
-    # ..., top_m, from Kummer's theorem for the binomial and the power sum's
-    # valuation; the part common to every m is added once
-    base = 1 - ell.bit_count() + (ell - shift) * g
-    term_val = list(map(add, map(add, valuations, _kummer_row(ell)),
-                        range(base - g, base - g - 2 * g * count, -2 * g)))
+    # ..., top_m, from Kummer's theorem for the binomial and the lemma's
+    # 2f - 2 for the power sum; the part common to every m is added once
+    base = 1 - ell.bit_count() + (ell - shift) * g + 2 * f - 2
+    term_val = list(map(add, _kummer_row(ell),
+                        range(base - g, base - g - g * (top_m + 1), -2 * g)))
+    term_val[0] += 1 - f  # nu_2(S_1(k)) is f - 1, not 2f - 2
 
     name = "modular_collapse"
     middle = term_val[1:-1]

@@ -448,9 +448,38 @@ def _corrupt_first_batch_past_one(monkeypatch, corrupt):
 )
 def test_paranoid_mode_crosschecks_every_batch(monkeypatch, corrupt, message):
     _corrupt_first_batch_past_one(monkeypatch, corrupt)
-    assert decide(27, mode=FAST).verdict == NO_SOLUTION
+    # fast mode checks every batch's 2-adic valuations too: decide(149)
+    # builds batches at k = 1 and 2 only, and only Faulhaber catches the
+    # corruption that keeps the valuations
+    if message == "disagrees with closed form":
+        assert decide(149, mode=FAST).verdict == NO_SOLUTION
+    else:
+        with pytest.raises(RuntimeError, match="failed 2-adic valuation: k=2, m=3$"):
+            decide(149, mode=FAST)
     with pytest.raises(RuntimeError, match=message):
         decide(27, mode=PARANOID)
+
+
+def test_every_batch_is_checked_before_any_sign_reads_it(monkeypatch):
+    checked = []
+    real_check, real_sign = decider._check_valuations, decider.balance_sign
+
+    def check(k, sums):
+        checked.append((k, sums))
+        return real_check(k, sums)
+
+    def sign(ell, k, w, sums):
+        assert checked[-1][0] == k and checked[-1][1] is sums, (ell, k, w)
+        return real_sign(ell, k, w, sums)
+
+    monkeypatch.setattr(decider, "_check_valuations", check)
+    monkeypatch.setattr(decider, "balance_sign", sign)
+    calls = _spy_on_batches(monkeypatch)
+    for mode in (FAST, PARANOID):
+        checked.clear()
+        calls.clear()
+        assert decide(75, mode=mode).verdict == NO_SOLUTION
+        assert [k for k, _ in checked] == [k for _, k, _ in calls] != [], mode
 
 
 def test_fast_decide_never_reaches_faulhaber(monkeypatch):

@@ -19,9 +19,8 @@ from powerbalance.filters import (
     filter_g_ge_e_plus_1,
     filter_radical,
     filter_w_plus_1_primes,
-    sum_valuations,
 )
-from powerbalance.powersum import powersum_batch
+from powerbalance.powersum import powersum_batch, powersum_closed
 
 
 def test_radical_filter():
@@ -86,78 +85,103 @@ def test_exponent_budget_filter():
         filter_3f_plus_3(2, 1)
 
 
-def _row(k, ell):
-    return sum_valuations(k, powersum_batch(k, ell))
-
-
 def test_collapse_examples():
     for ell, k, w in ((8, 1, 16), (5, 1, 10), (9, 2, 54)):
-        report = check_modular_collapse(ell, k, nu(w), _row(k, ell))
+        report = check_modular_collapse(ell, k, nu(w))
         assert report.outcome == PASS, (ell, k, w)
         assert report == _reference_collapse(ell, k, nu(w), powersum_batch(k, ell)), (ell, k, w)
 
 
 def test_collapse_preconditions():
     with pytest.raises(ValueError, match="g = nu_2"):
-        check_modular_collapse(8, 1, nu(15), _row(1, 8))  # odd w has g = 0
+        check_modular_collapse(8, 1, nu(15))  # odd w has g = 0
     with pytest.raises(ValueError, match="ell >= 5"):
-        check_modular_collapse(4, 1, nu(16), _row(1, 4))  # ell too small
-    with pytest.raises(TypeError):
-        check_modular_collapse(8, 1, nu(16))  # the row is not optional
+        check_modular_collapse(4, 1, nu(16))  # ell too small
+
+
+def _lemma_row(k, count):
+    """MacMillan-Sondow's nu_2(S_m(k)) for the first count odd m: f - 1, then 2f - 2."""
+    f = nu(k * (k + 1))
+    return [f - 1] + [2 * f - 2] * (count - 1)
+
+
+def _valuation_error(k, m):
+    return f"power-sum batch failed 2-adic valuation: k={k}, m={m}$"
 
 
 @pytest.mark.parametrize("m", [1, 3, 5, 7])
 def test_collapse_rejects_a_zero_power_sum(m):
-    # a zero sum has no 2-adic valuation; read off its lowest set bit it
-    # would pass as -1 and turn into a FAIL report, not an error.  The
-    # replay reads its valuations from sum_valuations, which raises first
+    # a zero sum has no 2-adic valuation; every batch is checked against the
+    # lemma before any sign or replay of its k, and the check names the m
     sums = powersum_batch(7, 7)
     sums[m] = 0
-    with pytest.raises(ValueError, match=f"at m = {m} "):
-        sum_valuations(7, sums)
+    with pytest.raises(RuntimeError, match=_valuation_error(7, m)):
+        decider._check_valuations(7, sums)
+
+
+# The power-sum valuation tests below check decider._check_valuations, which
+# holds every batch to MacMillan-Sondow before any sign or replay reads it.
+
+
+def _faulhaber_batch(k, m_max=41):
+    return {m: powersum_closed(k, m) for m in range(1, m_max + 1, 2)}
+
+
+# k with nu_2(k(k+1)) = 34, 40 and 64: 2f - 2 lies past bit 64
+_HUGE_KS = (2**34, 2**40 - 1, 2**64)
 
 
 def test_sum_valuations_read_sums_past_the_low_word_exactly():
-    # 3 * 2^64 and 2^130 have all 64 low bits zero and take the exact route;
-    # the others are read from their low word
-    sums = {1: 3 * 2**64, 3: 2**130, 5: 12, 7: 5 * 2**63, 9: 2**64 + 2**3}
-    assert sum_valuations(1, sums) == [64, 130, 2, 63, 3]
-    assert sum_valuations(1, sums) == [nu(s) for s in sums.values()]
+    # true batches whose valuations lie past the low 64-bit word pass, and
+    # each sum is read at its own bit v, not at a word boundary
+    for k in _HUGE_KS:
+        sums = _faulhaber_batch(k)
+        row = _lemma_row(k, len(sums))
+        assert row[1] > 64 and [nu(s) for s in sums.values()] == row, k
+        decider._check_valuations(k, sums)
+        # a bit above v leaves nu_2 as it is; at v or just below, it moves
+        for m, v in zip(sums, row):
+            decider._check_valuations(k, {**sums, m: sums[m] + 2 ** (v + 1)})
+            for moved in (sums[m] + 2**v, sums[m] + 2 ** (v - 1)):
+                with pytest.raises(RuntimeError, match=_valuation_error(k, m)):
+                    decider._check_valuations(k, {**sums, m: moved})
 
 
 def test_sum_valuations_with_one_sum_past_the_low_word():
-    sums = {1: 6, 3: 7 * 2**70, 5: 2**64 + 1, 7: 2**700 + 2**63}
-    assert sum_valuations(1, sums) == [1, 70, 0, 63]
+    # at f = 33, nu_2(S_1(k)) = 32 lies inside the low 64-bit word and every
+    # other nu_2(S_m(k)) = 64 just past it; each is read exactly
+    k = 2**33 - 1
+    sums = _faulhaber_batch(k, 7)
+    assert [nu(s) for s in sums.values()] == [32, 64, 64, 64]
+    decider._check_valuations(k, sums)
+    for m, s in sums.items():
+        for bad in (s >> 1, s << 1, s + 2 ** nu(s)):
+            with pytest.raises(RuntimeError, match=_valuation_error(k, m)):
+                decider._check_valuations(k, {**sums, m: bad})
 
 
 def test_sum_valuations_match_nu_on_true_and_shifted_batches():
-    for k in (1, 2, 7, 63, 64, 1000):
+    # a batch passes exactly when every nu_2(S_m(k)) is the lemma's value
+    for k in (1, 2, 3, 7, 63, 64, 1000):
         sums = powersum_batch(k, 41)
-        assert sum_valuations(k, sums) == [nu(s) for s in sums.values()], k
-        shifted = {m: s << (60 + m) for m, s in sums.items()}
-        assert sum_valuations(k, shifted) == [nu(s) for s in shifted.values()], k
+        assert [nu(s) for s in sums.values()] == _lemma_row(k, len(sums)), k
+        decider._check_valuations(k, sums)
+        for m in sums:
+            shifted = {**sums, m: sums[m] << (60 + m)}
+            with pytest.raises(RuntimeError, match=_valuation_error(k, m)):
+                decider._check_valuations(k, shifted)
 
 
 @pytest.mark.parametrize("position", range(6))
 def test_sum_valuations_name_the_m_of_a_zero_sum(position):
-    # the entries before the zero include two that take the exact route
-    sums = dict(zip(range(1, 12, 2), [3 * 2**64, 2**130, 12, 2**64 + 5, 7, 2**200]))
+    # a zero, doubled or incremented sum is named by its m wherever it lies,
+    # at f = 1 (every true sum odd), f = 3 (nu_2 = 2, then 4) and f = 40
     m = 2 * position + 1
-    sums[m] = 0
-    with pytest.raises(ValueError, match=f"S_{m}\\(9\\) = 0 at m = {m} "):
-        sum_valuations(9, sums)
-
-
-def test_collapse_rejects_a_short_valuation_row():
-    # a row one short would drop the top term from the replay unseen
-    for ell, k, w in ((7, 7, 14), (8, 1, 16), (9, 2, 54)):
-        g = nu(w)
-        report = check_modular_collapse(ell, k, g, _row(k, ell))
-        assert report == _reference_collapse(ell, k, g, powersum_batch(k, ell))
-        # a longer row's tail is not read
-        assert check_modular_collapse(ell, k, g, _row(k, ell + 4)) == report
-        with pytest.raises(ValueError, match="power-sum valuations"):
-            check_modular_collapse(ell, k, g, _row(k, ell - 2))
+    for k in (9, 7, 2**40 - 1):
+        sums = _faulhaber_batch(k, 11)
+        for bad in (0, 2 * sums[m], sums[m] + 1):
+            with pytest.raises(RuntimeError, match=_valuation_error(k, m)):
+                decider._check_valuations(k, {**sums, m: bad})
 
 
 def _window_candidates(ell_range, k_max):
@@ -173,7 +197,7 @@ def test_collapse_holds_on_window_candidates():
     for ell, k, w in _window_candidates(range(5, 41), 20):
         if filter_radical(k, w).failed:  # which every odd w does
             continue
-        assert check_modular_collapse(ell, k, nu(w), _row(k, ell)).outcome == PASS, (ell, k, w)
+        assert check_modular_collapse(ell, k, nu(w)).outcome == PASS, (ell, k, w)
         checked += 1
     assert checked >= 1  # the scan is not vacuous over this range
 
@@ -186,8 +210,8 @@ def test_center_valuation_failures_are_never_roots():
             assert eval_f(build_f(ell, k), w) != 0, (ell, k, w)
 
 
-def _reference_collapse(ell, k, g, sums):
-    """The replay with one nu2_binomial and one nu call per odd m."""
+def _reference_collapse(ell, k, g, sums, nu2_binom=nu2_binomial):
+    """The replay with one nu2_binomial and one nu call per odd m, on a batch's sums."""
     even = ell % 2 == 0
     e = nu(ell)
     f = nu(k * (k + 1))
@@ -196,7 +220,7 @@ def _reference_collapse(ell, k, g, sums):
     top_m = ell - 1 if even else ell
 
     def term_val(m):
-        return 1 + nu2_binomial(ell, m) + (ell - m - shift) * g + nu(sums[m])
+        return 1 + nu2_binom(ell, m) + (ell - m - shift) * g + nu(sums[m])
 
     name = "modular_collapse"
     for m in range(3, top_m, 2):
@@ -240,11 +264,9 @@ def test_collapse_matches_reference_on_every_sweep_replay(monkeypatch):
     batches = {}
     real = decider.check_modular_collapse
 
-    def compare(ell, k, g, valuations):
-        # the shared row equals the valuations of a batch built afresh
-        sums = batches[ell, k] = powersum_batch(k, ell)
-        assert valuations == [nu(s) for s in sums.values()], (ell, k)
-        return real(ell, k, g, valuations)
+    def compare(ell, k, g):
+        batches[ell, k] = powersum_batch(k, ell)
+        return real(ell, k, g)
 
     monkeypatch.setattr(decider, "check_modular_collapse", compare)
     replays = []
@@ -258,7 +280,8 @@ def test_collapse_matches_reference_on_every_sweep_replay(monkeypatch):
                 gated = ev.f_sign is not None and reports["radical"].outcome == PASS
                 assert replayed == gated, (cert.ell, rec.k, ev.w)
                 if replayed:
-                    # the report equals the reference replay at g = nu_2(w)
+                    # the report equals the reference replay at g = nu_2(w),
+                    # on the valuations of a batch built afresh
                     expected = _reference_collapse(cert.ell, rec.k, nu(ev.w), batches[cert.ell, rec.k])
                     assert reports["modular_collapse"] == expected, (cert.ell, rec.k, ev.w)
                     replays.append(expected.outcome)
@@ -266,17 +289,39 @@ def test_collapse_matches_reference_on_every_sweep_replay(monkeypatch):
     assert set(replays) == {PASS}
 
 
-def test_collapse_flags_an_odd_middle_power_sum():
-    # k = 7, w = 14: f = nu_2(56) = 3 > g + 1 = 2, so an odd S_3 drops the
-    # m = 3 term below nu_2(s); every true S_m has nu_2 = 2f - 2 = 4
+def test_an_odd_s3_is_rejected_before_any_replay(monkeypatch):
+    # k = 7: every true S_m(7) has nu_2 = 2f - 2 = 4, so an odd S_3 is named
     sums = powersum_batch(7, 7)
-    assert check_modular_collapse(7, 7, nu(14), sum_valuations(7, sums)).outcome == PASS
     sums[3] = 1
-    report = check_modular_collapse(7, 7, nu(14), sum_valuations(7, sums))
-    assert report == FilterReport(
-        "modular_collapse", FAIL, "middle term m = 3 has nu_2 = 5 < nu_2(s) = 7"
-    )
-    assert report == _reference_collapse(7, 7, nu(14), sums)
+    with pytest.raises(RuntimeError, match=_valuation_error(7, 3)):
+        decider._check_valuations(7, sums)
+    # decide(75) replays k = 1, 2, 3 and 8; S_3(k) is odd at k = 1, 2 and
+    # even at k = 3, where the made-odd S_3 stops both modes before any sign
+    # or replay of that k reads the batch
+    real_batch = decider.powersum_batch
+    real_sign, real_replay = decider.balance_sign, decider.check_modular_collapse
+    reached = []
+
+    def odd_s3(k, m_max, start=None):
+        sums = real_batch(k, m_max, start=start)
+        return {**sums, 3: sums[3] | 1}
+
+    def sign(ell, k, w, sums):
+        reached.append(k)
+        return real_sign(ell, k, w, sums)
+
+    def replay(ell, k, g):
+        reached.append(k)
+        return real_replay(ell, k, g)
+
+    monkeypatch.setattr(decider, "powersum_batch", odd_s3)
+    monkeypatch.setattr(decider, "balance_sign", sign)
+    monkeypatch.setattr(decider, "check_modular_collapse", replay)
+    for mode, failed in ((decider.FAST, "2-adic valuation"), (decider.PARANOID, "divisibility")):
+        reached.clear()
+        with pytest.raises(RuntimeError, match=f"failed {failed}: k=3, m=3$"):
+            decider.decide(75, mode=mode)
+        assert 3 not in reached and {1, 2} <= set(reached), mode
 
 
 def _collapse_exit(report):
@@ -288,27 +333,74 @@ def _collapse_exit(report):
     return report.detail.split()[0]  # "middle", "last" or "forced"
 
 
+def _radical_gs(k):
+    """g = nu_2(w) of w = r, 2r, ..., 8r, for r = rad(k(k+1)) squarefree and even."""
+    r = rad(k * (k + 1))
+    return sorted({nu(w) for w in range(r, 9 * r, r)})
+
+
 def test_collapse_matches_reference_on_every_exit_at_both_parities():
-    # true batches and batches with S_1, S_3 or the last sum corrupted drive
-    # the replay through each of its exits, at odd and at even ell
-    corruptions = [lambda s: 2 * s, lambda s: s + 1]
+    # on true batches the replay reaches the pass, "m1 below s" and "forced"
+    # exits at odd and at even ell, every report equal to the reference
+    # replay on the batch's own valuations, at every k <= 300
     seen = {0: set(), 1: set()}
+    for ell in range(5, 41):
+        sums = None
+        for k in range(1, 301):
+            sums = powersum_batch(k, ell, start=None if sums is None else (k - 1, sums))
+            for g in _radical_gs(k):
+                report = check_modular_collapse(ell, k, g)
+                assert report == _reference_collapse(ell, k, g, sums), (ell, k, g)
+                seen[ell % 2].add(_collapse_exit(report))
+    reachable = {"pass", "m1 below s", "forced"}
+    assert seen == {0: reachable, 1: reachable}
+
+
+def test_corrupted_batches_are_rejected_in_both_modes():
+    # S_1, S_3 or the last sum doubled or incremented: fast mode's check
+    # names the m, and so does paranoid mode's cross-check, which tests
+    # divisibility by k(k+1)/2 first, so an incremented sum fails that at k > 1
     for ell in range(5, 17):
         for k in [*range(1, 17), 31, 32, 63, 64]:
             true_sums = powersum_batch(k, ell)
-            variants = [true_sums]
             for m in (1, 3, max(true_sums)):
-                for corrupt in corruptions:
-                    variants.append({**true_sums, m: corrupt(true_sums[m])})
-            rows = [sum_valuations(k, sums) for sums in variants]
-            for row, sums in zip(rows, variants):
-                assert row == [nu(s) for s in sums.values()], (ell, k, sums)
-            # the g of w = r, 2r, ..., 8r, for r = rad(k(k+1)) squarefree and even
-            r = rad(k * (k + 1))
-            for g in sorted({nu(w) for w in range(r, 9 * r, r)}):
-                for row, sums in zip(rows, variants):
-                    report = check_modular_collapse(ell, k, g, row)
-                    assert report == _reference_collapse(ell, k, g, sums), (ell, k, g, sums)
-                    seen[ell % 2].add(_collapse_exit(report))
-    every_exit = {"pass", "middle", "m1 exact", "m1 below s", "last", "forced"}
-    assert seen == {0: every_exit, 1: every_exit}
+                for bad, paranoid in ((2 * true_sums[m], "2-adic valuation"),
+                                      (true_sums[m] + 1, "divisibility" if k > 1 else "2-adic valuation")):
+                    sums = {**true_sums, m: bad}
+                    with pytest.raises(RuntimeError, match=_valuation_error(k, m)):
+                        decider._check_valuations(k, sums)
+                    with pytest.raises(RuntimeError, match=f"failed {paranoid}: k={k}, m={m}$"):
+                        decider._crosscheck_powersums(k, sums)
+
+
+@pytest.mark.parametrize("ell, k, g", [(8, 1, 4), (9, 2, 1), (5, 1, 1), (10, 2, 2)])
+def test_collapse_exits_on_a_faulty_kummer_row(monkeypatch, ell, k, g):
+    # with the lemma's valuations, the middle, "m1 exact" and last exits fire
+    # only on a faulty Kummer row; each equals the reference replay whose
+    # binomial valuations carry the same fault
+    assert check_modular_collapse(ell, k, g).outcome == PASS
+    true_row = filters._kummer_row(ell)
+    sums = powersum_batch(k, ell)
+    for index, delta, exit in ((1, -ell * g, "middle"), (0, 1, "m1 exact"), (-1, 1, "last")):
+        row = list(true_row)
+        row[index] += delta
+        monkeypatch.setattr(filters, "_kummer_row", lambda e, row=tuple(row): row)
+        m = 2 * (index % len(row)) + 1
+
+        def faulty(e, mm, m=m, delta=delta):
+            return nu2_binomial(e, mm) + (delta if mm == m else 0)
+
+        report = check_modular_collapse(ell, k, g)
+        assert _collapse_exit(report) == exit, (ell, k, g, exit)
+        assert report == _reference_collapse(ell, k, g, sums, nu2_binom=faulty), (ell, k, g, exit)
+
+
+def test_collapse_report_depends_on_f_not_k():
+    # the replay reads k only through f = nu_2(k(k+1)), so two k with equal f
+    # give equal reports for every (ell, g)
+    for ell in range(5, 41):
+        for g in range(1, 6):
+            by_f = {}
+            for k in range(1, 130):
+                report = check_modular_collapse(ell, k, g)
+                assert by_f.setdefault(nu(k * (k + 1)), report) == report, (ell, g, k)

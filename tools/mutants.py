@@ -166,17 +166,38 @@ MUTANTS = (
         ("tests/test_filters.py::test_collapse_holds_on_window_candidates",),
     ),
     Mutant(
-        "valuation_exact_route_dropped", "filters.py",
-        "row[i] = nu(s) if s else _zero_power_sum(k, m)",
-        "row[i] = -1 if s else _zero_power_sum(k, m)",
-        ("tests/test_filters.py::test_sum_valuations_read_sums_past_the_low_word_exactly",
-         "tests/test_filters.py::test_sum_valuations_with_one_sum_past_the_low_word"),
+        "valuation_check_skips_m_1", "decider.py",
+        "if sums[1] & (2 * b1 - 1) != b1:",
+        "if False:",
+        ("tests/test_filters.py::test_sum_valuations_name_the_m_of_a_zero_sum[0]",
+         "tests/test_filters.py::test_corrupted_batches_are_rejected_in_both_modes"),
+    ),
+    Mutant(
+        "valuation_mask_one_bit_short", "decider.py",
+        "repeat(2 * b - 1)",
+        "repeat(b - 1)",
+        ("tests/test_filters.py::test_sum_valuations_match_nu_on_true_and_shifted_batches",
+         "tests/test_filters.py::test_sum_valuations_read_sums_past_the_low_word_exactly"),
+    ),
+    Mutant(
+        "theorem_row_off_by_one", "filters.py",
+        "+ (ell - shift) * g + 2 * f - 2",
+        "+ (ell - shift) * g + 2 * f - 1",
+        ("tests/test_filters.py::test_collapse_holds_on_window_candidates",
+         "tests/test_filters.py::test_collapse_matches_reference_on_every_exit_at_both_parities"),
+    ),
+    Mutant(
+        "theorem_row_m1_uncorrected", "filters.py",
+        "term_val[0] += 1 - f",
+        "pass",
+        ("tests/test_filters.py::test_collapse_matches_reference_on_every_exit_at_both_parities",
+         "tests/test_filters.py::test_collapse_matches_reference_on_every_sweep_replay"),
     ),
     Mutant(
         "collapse_middle_check_skips_m_3", "filters.py",
         "middle = term_val[1:-1]",
         "middle = term_val[2:-1]",
-        ("tests/test_filters.py::test_collapse_flags_an_odd_middle_power_sum",),
+        ("tests/test_filters.py::test_collapse_exits_on_a_faulty_kummer_row",),
     ),
     Mutant(
         "kummer_row_shifted_by_2", "filters.py",
@@ -211,8 +232,8 @@ MUTANTS = (
     ),
     Mutant(
         "decide_passes_w_for_g", "decider.py",
-        "check_modular_collapse(ell, k, nu(w), valuations)",
-        "check_modular_collapse(ell, k, w, valuations)",
+        "check_modular_collapse(ell, k, nu(w))",
+        "check_modular_collapse(ell, k, w)",
         ("tests/test_filters.py::test_collapse_matches_reference_on_every_sweep_replay",
          "tests/test_decider.py::test_certificate_bytes_are_pinned"),
     ),
