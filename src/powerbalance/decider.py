@@ -17,7 +17,11 @@ ell >= 3 the procedure is:
 
 The verdict never rests on a filter alone: a filter may only short-circuit
 the exact evaluation in fast mode, which reads every power sum from one
-route, the running powersum_batch.  Every batch is checked against the
+route, powersum_batch.  The sign reads m <= 7 at every window integer of
+ell = 3..3000, so fast mode runs its batch over odd m <= _FAST_BATCH_M_MAX only
+and hands the sign a _SmallBatch: a mapping that yields any odd m <= ell
+it is asked for, building the full batch of that k on the first read past
+what it holds.  Every batch, small or grown, is checked against the
 MacMillan-Sondow lemma as soon as it is built, before any sign reads it:
 _check_valuations requires nu_2(S_1(k)) = f - 1 and nu_2(S_m(k)) = 2f - 2
 at every odd m >= 3, f = nu_2(k(k+1)), reading each sum's low bits only.
@@ -26,6 +30,7 @@ batch.  The radical filter is the replay's one gate: every evaluated
 candidate that passes it is replayed, on g = nu_2(w) rather than w.
 Paranoid mode compares independent routes and raises on any
 disagreement.  It evaluates every candidate, so no filter excluded a root.
+Its batches hold every odd m <= ell.
 It checks each batch, before any sign reads it, against Carlitz-von Staudt
 for every m, then against MacMillan-Sondow for every m, then against
 Faulhaber (powersum_closed) for m <= _CLOSED_CHECK_M_MAX,
@@ -50,8 +55,8 @@ named tuples, like filters.FilterReport.
 
 certificate_json writes the canonical text directly, one f-string per
 window and per candidate.  The text lists every window under the sharp
-cap: the records, then each window from k* + 1 to bounds.k_max(ell), taken
-from compute_bounds and written with an empty "ws", no record built.  Keys
+cap: the records, then each window from k* + 1 to bounds.k_max(ell),
+written from per-ell constants with an empty "ws", no record built.  Keys
 are in sorted order and every string is escaped by
 _json.encode_basestring_ascii, the C escaper json.dumps uses, imported from
 where json.encoder takes it so that deciding never loads the json package:
@@ -94,6 +99,11 @@ FAMILY = "FAMILY"
 EXCLUDED_BY_FILTER = "EXCLUDED_BY_FILTER"
 EXCLUDED_BY_EVALUATION = "EXCLUDED_BY_EVALUATION"
 SOLUTION = "SOLUTION"
+
+# Largest m of fast mode's batch.  The series sign reads m <= 7 at every
+# window integer of ell = 3..3000 and of every 997th ell up to 100003, so
+# this leaves room, and a batch grows to every odd m <= ell only past it.
+_FAST_BATCH_M_MAX = 15
 
 # Closed-form cross-check ceiling for paranoid mode: every batched power sum
 # with m at most this is re-derived through the Faulhaber polynomial.
@@ -215,6 +225,29 @@ def _check_valuations(k: int, sums: dict[int, int]) -> None:
         raise RuntimeError(f"power-sum batch failed 2-adic valuation: k={k}, m={m}")
 
 
+class _SmallBatch(dict):
+    """Fast mode's batch: S_m(k) for odd m <= _FAST_BATCH_M_MAX, grown on demand.
+
+    It holds the small batch, which is what the next k's batch runs on
+    from.  The first read of any other m builds powersum_batch(k, ell),
+    checks all of it with _check_valuations, and serves that m and every
+    later one from it, so a sum is never read unchecked.
+    """
+
+    __slots__ = ("_ell", "_k", "_full")
+
+    def __init__(self, ell: int, k: int, sums: dict[int, int]):
+        super().__init__(sums)
+        self._ell, self._k, self._full = ell, k, None
+
+    def __missing__(self, m: int) -> int:
+        if self._full is None:
+            full = powersum_batch(self._k, self._ell)
+            _check_valuations(self._k, full)
+            self._full = full
+        return self._full[m]
+
+
 def _crosscheck_powersums(k: int, sums: dict[int, int]) -> None:
     """Paranoid validation of a batch of power sums against independent facts.
 
@@ -267,6 +300,7 @@ def decide(ell: int, mode: str = FAST) -> Certificate:
         return Certificate(ell, (), mode, _elapsed_ms(t0))
 
     k_star = largest_k(nonempty_K_bound(ell))
+    m_max = ell if mode == PARANOID else min(ell, _FAST_BATCH_M_MAX)
     records = []
     batch = None
     for k in range(1, k_star + 1):
@@ -280,14 +314,15 @@ def decide(ell: int, mode: str = FAST) -> Certificate:
             sign = None
             if mode == PARANOID or not excluded:
                 # the sign reads the batch; it runs on from the last k that
-                # needed one, so it costs (k - k0) * ell/2 steps, and is
+                # needed one, so it costs (k - k0) * m_max/2 steps, and is
                 # checked before the sign reads it
                 if sums is None:
-                    sums = powersum_batch(k, ell, start=batch)
+                    sums = powersum_batch(k, m_max, start=batch)
                     batch = (k, sums)
                     if mode == PARANOID:
                         _crosscheck_powersums(k, sums)
                     else:
+                        sums = _SmallBatch(ell, k, sums)
                         _check_valuations(k, sums)
                 sign = _settle_sign(ell, k, w, excluded, sums, mode)
                 # reports[0] is the radical filter; passing it makes g >= 1,
@@ -405,9 +440,26 @@ def _record_json(rec: CandidateRecord) -> str:
 
 
 def _empty_windows_json(ell: int, k_first: int) -> list[str]:
-    """The windows of k_first..k_max(ell), each rendered as a record with no integers."""
-    return [f'{{{_window_json(k, compute_bounds(ell, k))},"ws":[]}}'
-            for k in range(k_first, k_max(ell) + 1)]
+    """The windows of k_first..k_max(ell), each rendered as a record with no integers.
+
+    The text is _window_json's for compute_bounds(ell, k), written from
+    per-ell constants.  With A = (ell-1)(ell-2) the upper end is
+    (12 ell^2 K + A) / (12 ell), which reduces by g = gcd(A, 12 ell) at
+    every K, so only the lower end, upper - A^2 / (72 ell^3 K), takes a gcd
+    per window.  There are windows only for ell >= 8, where gcd(ell, A) <= 2
+    keeps 12 ell / g above 1, so the upper end is never an integer.
+    """
+    A = (ell - 1) * (ell - 2)
+    g = gcd(A, 12 * ell)
+    step, shift, q = 12 * ell * ell // g, A // g, 12 * ell // g
+    scale, A2, den_step = 6 * ell * ell * g, A * A, 72 * ell**3
+    records = []
+    for k in range(k_first, k_max(ell) + 1):
+        K = k * (k + 1)
+        u = step * K + shift
+        lower = _ratio_str(scale * K * u - A2, den_step * K)
+        records.append(f'{{"k":"{k}","window":["{lower}","{u}/{q}"],"ws":[]}}')
+    return records
 
 
 def certificate_json(cert: Certificate, include_timing: bool = True) -> str:

@@ -34,8 +34,8 @@ each later term is at most rho = ell^2 k^2 / ((M+3) (M+4) w^2) times the
 one before, so T_M <= t / (1 - rho) when rho < 1.  G_M < t makes the sign
 -1, G_M (1 - rho) > t makes it +1, and otherwise M grows by 2; at the last
 odd m the tail is empty and G_M is exact, zero included.  At window
-integers M stays small, so only a few S_m(k), from the caller's power-sum
-batch, are read and no ell-th power is formed.
+integers M stays small, so only a few S_m(k), from the caller's mapping,
+are read and no ell-th power is formed.
 
 build_f and eval_f serve the root-counting oracle, the window lemmas and the
 tests; balance_difference and interval_sign read D off the definition itself.
@@ -155,8 +155,8 @@ def balance_sign(ell: int, k: int, w: int, sums: dict[int, int]) -> int:
 
     Truncates the expansion of D(w) after odd M and bounds the tail (see the
     module docstring), by integer cross-multiplication only.  sums maps odd
-    m to S_m(k), as powersum_batch(k, ell) does, and C(ell, m) is walked up
-    the row as in build_f.
+    m to S_m(k): a mapping that yields any odd m <= ell it is asked for,
+    and C(ell, m) is walked up the row as in build_f.
     """
     if ell < 1 or k < 1 or w < 1:
         raise ValueError(f"ell, k and w must all be >= 1, got {ell}, {k}, {w}")

@@ -9,7 +9,10 @@ Three routes to the same integers:
   one division by D_m, whose remainder must be zero.  It is the second
   route that paranoid mode and the lemma checks compare the batch with;
 * ``powersum_batch``  -- all S_m(k) for odd m up to a bound in one
-  incremental pass, the only route fast mode uses.  Each new i steps its
+  incremental pass, the only route fast mode uses.  Fast mode runs it to
+  a small bound and hands the sign a mapping that yields any odd m <= ell
+  it is asked for, building the full batch only on such a read; paranoid
+  mode runs it to ell.  Each new i steps its
   row i, i^3, i^5, ... by one multiplication by i^2 at a time, lazily
   (itertools.accumulate), and the rows are summed with the base row one m
   at a time, so no list of powers is held per i.  Given a batch already

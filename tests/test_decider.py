@@ -416,8 +416,79 @@ def test_running_batch_equals_direct_sums(monkeypatch, ell, mode):
     else:
         used = [rec.k for rec in cert.candidates if rec.integer_candidates]
     assert calls and [k for _, k, _ in calls] == used
+    # paranoid batches hold every odd m <= ell; fast ones the odd m up to
+    # the small batch's top, none of which the sign outgrows here
+    m_max = ell if mode == PARANOID else decider._FAST_BATCH_M_MAX
     for _, k, sums in calls:
-        assert sums == {m: powersum_direct(k, m) for m in range(1, ell + 1, 2)}, (ell, k)
+        assert list(sums) == list(range(1, m_max + 1, 2)), (ell, k)
+        assert sums == {m: powersum_direct(k, m) for m in sums}, (ell, k)
+
+
+def test_fast_batch_grows_on_demand_and_checks_what_it_grows(monkeypatch):
+    # a small batch of S_1 alone makes every sign grow its k's batch to
+    # every odd m <= ell; the certificates stay byte for byte the pinned ones
+    monkeypatch.setattr(decider, "_FAST_BATCH_M_MAX", 1)
+    checked = []
+    real_check = decider._check_valuations
+
+    def check(k, sums):
+        real_check(k, sums)
+        checked.append((k, len(sums)))
+
+    monkeypatch.setattr(decider, "_check_valuations", check)
+    calls = _spy_on_batches(monkeypatch)
+    for ell in (64, 999):
+        calls.clear()
+        checked.clear()
+        cert = decide(ell, mode=FAST)
+        text = certificate_json(cert, include_timing=False)
+        assert hashlib.sha256(text.encode()).hexdigest() == CERTIFICATE_DIGESTS[ell, FAST]
+        replayed = _replayed_ks(cert)
+        small = [(k0, k) for k0, k, sums in calls if len(sums) == 1]
+        grown = [(k0, k, sums) for k0, k, sums in calls if len(sums) > 1]
+        # the small batches run on from one another; each k grows once, afresh
+        assert small == list(zip([0, *replayed], replayed)), ell
+        assert [(k0, k) for k0, k, _ in grown] == [(0, k) for k in replayed], ell
+        for _, k, sums in grown:
+            assert sums == {m: powersum_direct(k, m) for m in range(1, ell + 1, 2)}, (ell, k)
+        # every batch, small or grown, passed the valuation check once
+        assert checked == [(k, len(sums)) for _, k, sums in calls], ell
+    assert grown  # decide(64) evaluates no candidate, decide(999) several
+
+
+def test_a_corrupted_grown_batch_is_rejected_before_the_sign_reads_it(monkeypatch):
+    monkeypatch.setattr(decider, "_FAST_BATCH_M_MAX", 1)
+    real_batch = decider.powersum_batch
+
+    def corrupted(k, m_max, start=None):
+        sums = real_batch(k, m_max, start=start)
+        if m_max > 1:
+            sums[3] *= 2
+        return sums
+
+    monkeypatch.setattr(decider, "powersum_batch", corrupted)
+    # decide(75) first evaluates at k = 1, and every sign there reads S_3
+    with pytest.raises(RuntimeError, match="failed 2-adic valuation: k=1, m=3$"):
+        decide(75, mode=FAST)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="VmHWM is Linux's")
+def test_fast_decide_at_large_ell_keeps_a_small_peak_rss():
+    # a fresh interpreter, so that the peak is this decision's alone.  Its
+    # ru_maxrss would not do: Linux carries the peak of the image a process
+    # was exec'ed from, here the test run's own, across execve.  VmHWM is
+    # the peak of the current image.  With full batches of every odd
+    # m <= ell this decision peaks at about 190 MiB; with the small batch at
+    # about 24 MiB, most of it the interpreter
+    env = {**os.environ, "PYTHONPATH": str(Path(powerbalance.__file__).resolve().parents[1])}
+    code = ("import powerbalance\n"
+            "assert powerbalance.decide(30003).verdict == 'NO_SOLUTION'\n"
+            "print(next(line.split()[1] for line in open('/proc/self/status')\n"
+            "           if line.startswith('VmHWM:')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 64 * 1024, f"peak RSS {int(proc.stdout) // 1024} MiB"
 
 
 def _corrupt_first_batch_past_one(monkeypatch, corrupt):
@@ -862,6 +933,21 @@ def test_certificate_json_renders_the_reference_tree():
     for cert in certs:
         _assert_renders_as_the_reference(cert)
     assert sum(len(ev.filters) for c in certs for rec in c.candidates for ev in rec.per_candidate) > 10000
+
+
+def test_empty_windows_render_as_their_fractions():
+    # every window of ell 3..400 under the sharp cap, the empty ones past k*
+    # among them, rendered from per-ell constants: both ends must read as
+    # the reduced fractions of the definitions of a and b
+    rendered = empty = 0
+    for ell in range(3, 401):
+        texts = decider._empty_windows_json(ell, 1)
+        expected = [json.dumps(tree, sort_keys=True, separators=(",", ":"))
+                    for tree in _empty_windows(ell, 1)]
+        assert texts == expected, ell
+        rendered += len(texts)
+        empty += len(texts) - largest_k(nonempty_K_bound(ell))
+    assert rendered > 20000 and empty > 15000, (rendered, empty)
 
 
 def test_certificate_json_escapes_strings_as_json_dumps_does():

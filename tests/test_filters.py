@@ -192,14 +192,17 @@ def _window_candidates(ell_range, k_max):
 
 
 def test_collapse_holds_on_window_candidates():
-    # every admissible window integer must witness the contradiction
-    checked = 0
-    for ell, k, w in _window_candidates(range(5, 41), 20):
+    # every admissible window integer must witness the contradiction; from
+    # ell = 75 on the range holds candidates with f = nu_2(k(k+1)) >= 2, such
+    # as (75, 3, 906), and from 147 on ones with g = nu_2(w) >= 2 as well,
+    # such as (147, 8, 10596) and (243, 4, 4880)
+    kinds = set()
+    for ell, k, w in _window_candidates(range(5, 251), 20):
         if filter_radical(k, w).failed:  # which every odd w does
             continue
         assert check_modular_collapse(ell, k, nu(w)).outcome == PASS, (ell, k, w)
-        checked += 1
-    assert checked >= 1  # the scan is not vacuous over this range
+        kinds.add((min(nu(k * (k + 1)), 2), min(nu(w), 2)))
+    assert kinds == {(1, 1), (1, 2), (2, 1), (2, 2)}, kinds
 
 
 def test_center_valuation_failures_are_never_roots():

@@ -191,7 +191,8 @@ MUTANTS = (
         "term_val[0] += 1 - f",
         "pass",
         ("tests/test_filters.py::test_collapse_matches_reference_on_every_exit_at_both_parities",
-         "tests/test_filters.py::test_collapse_matches_reference_on_every_sweep_replay"),
+         "tests/test_filters.py::test_collapse_matches_reference_on_every_sweep_replay",
+         "tests/test_filters.py::test_collapse_holds_on_window_candidates"),
     ),
     Mutant(
         "collapse_middle_check_skips_m_3", "filters.py",
@@ -229,6 +230,26 @@ MUTANTS = (
         "for m in range(1, _CLOSED_CHECK_M_MAX + 1, 2))",
         "for m in range(1, _CLOSED_CHECK_M_MAX - 1, 2))",
         ("tests/test_decider.py::test_closed_row_is_faulhaber_at_every_checked_m",),
+    ),
+    Mutant(
+        "small_batch_never_grows", "decider.py",
+        "full = powersum_batch(self._k, self._ell)",
+        "full = dict(self)",
+        ("tests/test_decider.py::test_fast_batch_grows_on_demand_and_checks_what_it_grows",),
+    ),
+    Mutant(
+        "grown_batch_skips_valuation_check", "decider.py",
+        "            _check_valuations(self._k, full)\n",
+        "",
+        ("tests/test_decider.py::test_a_corrupted_grown_batch_is_rejected_before_the_sign_reads_it",
+         "tests/test_decider.py::test_fast_batch_grows_on_demand_and_checks_what_it_grows"),
+    ),
+    Mutant(
+        "empty_window_upper_unreduced", "decider.py",
+        "g = gcd(A, 12 * ell)",
+        "g = 1",
+        ("tests/test_decider.py::test_empty_windows_render_as_their_fractions",
+         "tests/test_decider.py::test_certificate_bytes_are_pinned"),
     ),
     Mutant(
         "decide_passes_w_for_g", "decider.py",
