@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import chain
 
 from . import __version__
-from .arith import nu
+from .arith import nu, nu2_binomial
 from .bounds import check_appendix_identity, check_sandwich, compute_bounds, integers_in_window, k_max
 from .decider import FAMILY, FAST, PARANOID, certificate_json, decide, sweep
 from .equation import verify_instance
@@ -190,6 +190,14 @@ def _lemma_appendix(args):
 
 
 def _lemma_collapse(args):
+    # the Kummer facts the replay rests on: nu_2(C(ell, m)) is e = nu_2(ell)
+    # at m = 1 and at top_m, and at least e at every odd m between
+    for ell in range(5, args.ell_max + 1):
+        e, top_m = nu(ell), ell - 1 + ell % 2
+        for m in range(1, top_m + 1, 2):
+            v = nu2_binomial(ell, m)
+            if v < e or (v != e and m in (1, top_m)):
+                return f"ell={ell}, m={m}: nu_2(C(ell, m)) = {v} against e = {e}"
     fixed = [(8, 1, [16]), (5, 1, [10]), (9, 2, [54])]
     windows = ((ell, k, integers_in_window(compute_bounds(ell, k)))
                for ell in range(5, args.ell_max + 1) for k in range(1, args.k_max + 1))

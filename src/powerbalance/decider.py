@@ -13,7 +13,8 @@ ell >= 3 the procedure is:
   4. settle the sign of f(k, w) for every survivor exactly, as the sign of
      LHS - RHS at n = w - k read off a truncated binomial series with a
      proven tail bound (equation.balance_sign), and replay the 2-adic
-     collapse (with Kummer valuations) on it.
+     collapse on it: two comparisons of scalars in (ell, f, g), since
+     Kummer's theorem settles every binomial valuation the replay needs.
 
 The verdict never rests on a filter alone: a filter may only short-circuit
 the exact evaluation in fast mode, which reads every power sum from one

@@ -22,16 +22,14 @@ at m = 1, which decider checks on every batch it builds.  Callers gate it
 on the radical filter alone, whose PASS makes g >= 1.  That filter factors
 k(k+1) once per k per process, through a memo of at most
 _RADICAL_MEMO = 3000 radicals.
-The replay adds two rows over odd m, element by element: the Kummer row
-popcount(m) + popcount(ell-m) of the binomial coefficients (kept per ell),
-and the part that is linear in m.  The part that depends only on ell, f
-and g is added once, and the m = 1 term is then corrected to the lemma's
-f - 1.  It never forms C(ell, m).
+The replay is two comparisons of scalars in (ell, f, g): Kummer's theorem
+fixes the valuation of the m = 1 and the last term and bounds every term
+between them, so no row over odd m is built and C(ell, m) is never formed.
+cli's modular-collapse lemma checks those Kummer facts at every ell it runs.
 """
 
 from collections import namedtuple
 from functools import lru_cache
-from operator import add
 
 from .arith import nu, odd_prime_factors, rad
 # powersum_batch is unused here, but bench/spans.py patches the name in this module
@@ -117,13 +115,6 @@ def filter_3f_plus_3(ell: int, k: int) -> FilterReport:
     return FilterReport("3f_plus_3", PASS, f"3f + 3 = {3 * f + 3} <= ell = {ell}")
 
 
-@lru_cache(maxsize=16)
-def _kummer_row(ell: int) -> tuple[int, ...]:
-    """popcount(m) + popcount(ell - m) for every odd m from 1 up to ell."""
-    return tuple(map(add, map(int.bit_count, range(1, ell + 1, 2)),
-                     map(int.bit_count, range(ell - 1, -1, -2))))
-
-
 def check_modular_collapse(ell: int, k: int, g: int) -> FilterReport:
     """Replay the 2-adic collapse of the equation on one candidate.
 
@@ -132,21 +123,23 @@ def check_modular_collapse(ell: int, k: int, g: int) -> FilterReport:
     f = nu_2(k(k+1)), as nu_2(S_1(k)) = f - 1 and nu_2(S_m(k)) = 2f - 2 at
     every odd m >= 3.
 
-    Write the equation as top_power(w) = sum of terms over odd m <= top_m.
-    Even ell works with the equation divided by w, so with shift = 1 for
-    even ell and 0 for odd ell, top_m = ell - shift.  One formula serves both
-    parities, since e = nu_2(ell) is 0 for odd ell.  Let
-    s = 2^((2f-1) + 2g + e).  The checks, all on exact integers:
+    Write the equation as top_power(w) = sum over odd m <= top_m of the
+    terms 2 C(ell, m) w^(top_m - m) S_m(k).  Even ell works with the
+    equation divided by w, so top_m = ell - 1 for even ell and ell for odd
+    ell.  One formula serves both parities, since e = nu_2(ell) is 0 for odd
+    ell.  Let s = 2^((2f-1) + 2g + e).  Kummer's theorem gives
+    nu_2(C(ell, 1)) = nu_2(C(ell, top_m)) = e, and
+    nu_2(C(ell, m)) = e + nu_2(C(ell-1, m-1)) >= e at every odd m, so:
 
       (i)   every middle term, 3 <= m < top_m, has nu_2 >= nu_2(s);
-      (ii)  the m = 1 term has nu_2 exactly e + (top_m - 1)g + f, and at
-            least nu_2(s);
+      (ii)  the m = 1 term has nu_2 exactly e + (top_m - 1)g + f;
       (iii) the last term, m = top_m, has nu_2 exactly e + 2f - 1.
 
-    When they hold, a solution would force top_m * g = e + 2f - 1.  PASS
-    reports that the forced equality is false, i.e. the candidate is
-    contradicted.  Any other outcome is FAIL and signals a bookkeeping bug,
-    never an accepted candidate.
+    That is why no row over m is built: only (ii) can fall below nu_2(s),
+    and then there is no collapse.  Otherwise a solution would force
+    top_m * g = e + 2f - 1.  PASS reports that the forced equality is
+    false, i.e. the candidate is contradicted.  Any other outcome is FAIL
+    and signals a bookkeeping bug, never an accepted candidate.
     """
     if ell < 5:
         raise ValueError(f"the collapse argument needs ell >= 5, got {ell}")
@@ -155,51 +148,25 @@ def check_modular_collapse(ell: int, k: int, g: int) -> FilterReport:
     e = nu(ell)
     f = nu(k * (k + 1))
     s_exp = 2 * f - 1 + 2 * g + e
-    shift = 1 - ell % 2  # even ell works with the w-divided equation
-    top_m = ell - shift
-
-    # nu_2 of the term 2 * C(ell, m) * w^(ell-m-shift) * S_m(k) for m = 1, 3,
-    # ..., top_m, from Kummer's theorem for the binomial and the lemma's
-    # 2f - 2 for the power sum; the part common to every m is added once
-    base = 1 - ell.bit_count() + (ell - shift) * g + 2 * f - 2
-    term_val = list(map(add, _kummer_row(ell),
-                        range(base - g, base - g - g * (top_m + 1), -2 * g)))
-    term_val[0] += 1 - f  # nu_2(S_1(k)) is f - 1, not 2f - 2
+    top_m = ell - 1 + ell % 2  # even ell works with the w-divided equation
 
     name = "modular_collapse"
-    middle = term_val[1:-1]
-    if min(middle) < s_exp:
-        for m, v in zip(range(3, top_m, 2), middle):
-            if v < s_exp:
-                return FilterReport(
-                    name, FAIL, f"middle term m = {m} has nu_2 = {v} < nu_2(s) = {s_exp}"
-                )
-    m1_expected = e + (top_m - 1) * g + f
-    m1 = term_val[0]
-    if m1 != m1_expected:
-        return FilterReport(
-            name, FAIL, f"m = 1 term has nu_2 = {m1}, expected exactly {m1_expected}"
-        )
+    m1 = e + (top_m - 1) * g + f
     if m1 < s_exp:
         return FilterReport(
             name, FAIL, f"m = 1 term has nu_2 = {m1} < nu_2(s) = {s_exp}, no collapse"
         )
-    top_expected = e + 2 * f - 1
-    top = term_val[-1]
-    if top != top_expected:
-        return FilterReport(
-            name, FAIL, f"last term has nu_2 = {top}, expected exactly {top_expected}"
-        )
+    top = e + 2 * f - 1
     lhs = top_m * g
-    if lhs == top_expected:
+    if lhs == top:
         return FilterReport(
             name,
             FAIL,
-            f"forced equality holds: nu_2(top power) = {lhs} = {top_expected}; no contradiction",
+            f"forced equality holds: nu_2(top power) = {lhs} = {top}; no contradiction",
         )
     return FilterReport(
         name,
         PASS,
-        f"contradiction witnessed: nu_2(top power) = {lhs} != {top_expected} "
+        f"contradiction witnessed: nu_2(top power) = {lhs} != {top} "
         f"with e = {e}, f = {f}, g = {g}",
     )

@@ -219,8 +219,9 @@ def test_lemmas_all(capsys):
         assert f"{name}: PASS" in out
 
 
-# each runner's predicate in cli, a point it reaches under SMALL_LEMMA_RANGES,
-# what the predicate returns there when planted to fail, and the line printed
+# each runner's predicate in cli (or the Kummer valuation the collapse runner
+# checks), a point it reaches under SMALL_LEMMA_RANGES, what the predicate
+# returns there when planted to fail, and the line printed
 FAILING_POINTS = [
     ("carlitz-von-staudt", "check_carlitz_von_staudt", (3, 5), False,
      "k=3, m=5: k(k+1)/2 does not divide S_m(k)"),
@@ -232,6 +233,9 @@ FAILING_POINTS = [
     # (ell, k, g) of the fixed point w = 54
     ("modular-collapse", "check_modular_collapse", (9, 2, 1),
      FilterReport("modular_collapse", FAIL, "planted"), "ell=9, k=2, w=54: planted"),
+    # nu_2(C(10, 9)) = e = 1 at even ell's top_m = 9; 2 breaks only that fact
+    ("modular-collapse", "nu2_binomial", (10, 9), 2,
+     "ell=10, m=9: nu_2(C(ell, m)) = 2 against e = 1"),
 ]
 
 

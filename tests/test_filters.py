@@ -1,6 +1,8 @@
 """The 2-adic candidate filters and the collapse replay."""
 
+import tracemalloc
 from functools import partial
+from math import comb
 
 import pytest
 
@@ -36,10 +38,13 @@ def test_radical_memo_is_rad_of_k_times_k_plus_1():
         assert filters._radical(k) == rad(k * (k + 1)), k
 
 
-def test_kummer_row_is_the_binomial_valuation_plus_popcount_of_ell():
+def test_kummer_facts_behind_the_scalar_replay():
+    # the replay builds no row over odd m because nu_2(C(ell, m)) is
+    # e = nu_2(ell) at m = 1 and at top_m, and at least e at every odd m
     for ell in range(1, 400):
-        row = filters._kummer_row(ell)
-        assert row == tuple(nu2_binomial(ell, m) + ell.bit_count() for m in range(1, ell + 1, 2)), ell
+        e, top_m = nu(ell), ell - 1 + ell % 2
+        row = [nu(comb(ell, m)) for m in range(1, top_m + 1, 2)]
+        assert row[0] == row[-1] == e and min(row) == e, ell
 
 
 def test_filter_report_is_a_named_tuple():
@@ -328,12 +333,10 @@ def test_an_odd_s3_is_rejected_before_any_replay(monkeypatch):
 
 
 def _collapse_exit(report):
-    """Which of the replay's six exits produced the report."""
+    """Which of the replay's three exits produced the report."""
     if report.outcome == PASS:
         return "pass"
-    if report.detail.startswith("m = 1 term"):
-        return "m1 below s" if report.detail.endswith("no collapse") else "m1 exact"
-    return report.detail.split()[0]  # "middle", "last" or "forced"
+    return "m1 below s" if report.detail.endswith("no collapse") else report.detail.split()[0]
 
 
 def _radical_gs(k):
@@ -345,18 +348,41 @@ def _radical_gs(k):
 def test_collapse_matches_reference_on_every_exit_at_both_parities():
     # on true batches the replay reaches the pass, "m1 below s" and "forced"
     # exits at odd and at even ell, every report equal to the reference
-    # replay on the batch's own valuations, at every k <= 300
+    # replay on the batch's own valuations: at every k <= 300 for small ell,
+    # at k <= 20 for ell where a row over odd m would be longest, and at
+    # f = nu_2(k(k+1)) past 30 on Faulhaber's sums
     seen = {0: set(), 1: set()}
-    for ell in range(5, 41):
-        sums = None
-        for k in range(1, 301):
-            sums = powersum_batch(k, ell, start=None if sums is None else (k - 1, sums))
-            for g in _radical_gs(k):
+    for ells, k_max in ((range(5, 41), 300), ((999, 1000, 3001, 3002), 20)):
+        for ell in ells:
+            sums = None
+            for k in range(1, k_max + 1):
+                sums = powersum_batch(k, ell, start=None if sums is None else (k - 1, sums))
+                for g in _radical_gs(k):
+                    report = check_modular_collapse(ell, k, g)
+                    assert report == _reference_collapse(ell, k, g, sums), (ell, k, g)
+                    seen[ell % 2].add(_collapse_exit(report))
+    for k in (2**31 - 1, *_HUGE_KS):
+        sums = _faulhaber_batch(k)
+        for ell in range(5, 42):
+            for g in range(1, 9):
                 report = check_modular_collapse(ell, k, g)
                 assert report == _reference_collapse(ell, k, g, sums), (ell, k, g)
                 seen[ell % 2].add(_collapse_exit(report))
     reachable = {"pass", "m1 below s", "forced"}
     assert seen == {0: reachable, 1: reachable}
+
+
+def test_collapse_replay_memory_is_bounded_in_ell():
+    # the replay is O(1) in ell: a row over the odd m <= 10^6 + 1 would hold
+    # 500,001 entries, tens of MB
+    tracemalloc.start()
+    try:
+        report = check_modular_collapse(10**6 + 1, 3, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.outcome == PASS
+    assert peak < 4096, peak
 
 
 def test_corrupted_batches_are_rejected_in_both_modes():
@@ -374,28 +400,6 @@ def test_corrupted_batches_are_rejected_in_both_modes():
                         decider._check_valuations(k, sums)
                     with pytest.raises(RuntimeError, match=f"failed {paranoid}: k={k}, m={m}$"):
                         decider._crosscheck_powersums(k, sums)
-
-
-@pytest.mark.parametrize("ell, k, g", [(8, 1, 4), (9, 2, 1), (5, 1, 1), (10, 2, 2)])
-def test_collapse_exits_on_a_faulty_kummer_row(monkeypatch, ell, k, g):
-    # with the lemma's valuations, the middle, "m1 exact" and last exits fire
-    # only on a faulty Kummer row; each equals the reference replay whose
-    # binomial valuations carry the same fault
-    assert check_modular_collapse(ell, k, g).outcome == PASS
-    true_row = filters._kummer_row(ell)
-    sums = powersum_batch(k, ell)
-    for index, delta, exit in ((1, -ell * g, "middle"), (0, 1, "m1 exact"), (-1, 1, "last")):
-        row = list(true_row)
-        row[index] += delta
-        monkeypatch.setattr(filters, "_kummer_row", lambda e, row=tuple(row): row)
-        m = 2 * (index % len(row)) + 1
-
-        def faulty(e, mm, m=m, delta=delta):
-            return nu2_binomial(e, mm) + (delta if mm == m else 0)
-
-        report = check_modular_collapse(ell, k, g)
-        assert _collapse_exit(report) == exit, (ell, k, g, exit)
-        assert report == _reference_collapse(ell, k, g, sums, nu2_binom=faulty), (ell, k, g, exit)
 
 
 def test_collapse_report_depends_on_f_not_k():

@@ -163,7 +163,7 @@ MUTANTS = (
         "collapse_s_exp_off_by_one", "filters.py",
         "s_exp = 2 * f - 1 + 2 * g + e",
         "s_exp = 2 * f + 2 * g + e",
-        ("tests/test_filters.py::test_collapse_holds_on_window_candidates",),
+        ("tests/test_filters.py::test_collapse_matches_reference_on_every_exit_at_both_parities",),
     ),
     Mutant(
         "valuation_check_skips_m_1", "decider.py",
@@ -180,31 +180,30 @@ MUTANTS = (
          "tests/test_filters.py::test_sum_valuations_read_sums_past_the_low_word_exactly"),
     ),
     Mutant(
-        "theorem_row_off_by_one", "filters.py",
-        "+ (ell - shift) * g + 2 * f - 2",
-        "+ (ell - shift) * g + 2 * f - 1",
-        ("tests/test_filters.py::test_collapse_holds_on_window_candidates",
-         "tests/test_filters.py::test_collapse_matches_reference_on_every_exit_at_both_parities"),
+        "collapse_m1_without_f", "filters.py",
+        "m1 = e + (top_m - 1) * g + f",
+        "m1 = e + (top_m - 1) * g",
+        ("tests/test_filters.py::test_collapse_matches_reference_on_every_exit_at_both_parities",),
     ),
     Mutant(
-        "theorem_row_m1_uncorrected", "filters.py",
-        "term_val[0] += 1 - f",
-        "pass",
+        "collapse_top_m_parity_flipped", "filters.py",
+        "top_m = ell - 1 + ell % 2",
+        "top_m = ell - ell % 2",
         ("tests/test_filters.py::test_collapse_matches_reference_on_every_exit_at_both_parities",
-         "tests/test_filters.py::test_collapse_matches_reference_on_every_sweep_replay",
-         "tests/test_filters.py::test_collapse_holds_on_window_candidates"),
+         "tests/test_filters.py::test_collapse_matches_reference_on_every_sweep_replay"),
     ),
     Mutant(
-        "collapse_middle_check_skips_m_3", "filters.py",
-        "middle = term_val[1:-1]",
-        "middle = term_val[2:-1]",
-        ("tests/test_filters.py::test_collapse_exits_on_a_faulty_kummer_row",),
+        "collapse_m1_bound_not_strict", "filters.py",
+        "if m1 < s_exp:",
+        "if m1 <= s_exp:",
+        ("tests/test_filters.py::test_collapse_matches_reference_on_every_exit_at_both_parities",),
     ),
     Mutant(
-        "kummer_row_shifted_by_2", "filters.py",
-        "map(int.bit_count, range(1, ell + 1, 2))",
-        "map(int.bit_count, range(3, ell + 3, 2))",
-        ("tests/test_filters.py::test_collapse_holds_on_window_candidates",),
+        "lemma_kummer_check_skips_top_m", "cli.py",
+        "v != e and m in (1, top_m)",
+        "v != e and m == 1",
+        ("tests/test_cli.py::test_lemmas_report_a_planted_failure[modular-collapse-nu2_binomial-point5-2-"
+         "ell=10, m=9: nu_2(C(ell, m)) = 2 against e = 1]",),
     ),
     Mutant(
         "batch_ignores_its_base_row", "powersum.py",
