@@ -48,16 +48,16 @@ integer, every filter outcome and evaluation sign -- serializable to JSON
 with all exact values rendered as decimal or "p/q" strings, never floats.
 It stores ell, the per-k records of k = 1..k*, the mode and the elapsed
 time; the verdict, solutions and ell = 1, 2 family are derived from them.
-Each window is stored as the integer triple that bounds.compute_bounds
-returns, and reduced only when it is rendered.  Certificate (ell,
-candidates, mode, elapsed_ms) and its records, CandidateRecord (k, window,
+No window is stored: it is a function of (ell, k) alone.  Certificate
+(ell, candidates, mode, elapsed_ms) and its records, CandidateRecord (k,
 per_candidate) and CandidateEvaluation (w, filters, f_sign), are immutable
 named tuples, like filters.FilterReport.
 
 certificate_json writes the canonical text directly, one f-string per
 window and per candidate.  The text lists every window under the sharp
-cap: the records, then each window from k* + 1 to bounds.k_max(ell),
-written from per-ell constants with an empty "ws", no record built.  Keys
+cap, k = 1..bounds.k_max(ell), each written by _windows_json from
+per-ell constants, with the integers of the record of the same k, or an
+empty "ws" past k*, where there is no record.  Keys
 are in sorted order and every string is escaped by
 _json.encode_basestring_ascii, the C escaper json.dumps uses, imported from
 where json.encoder takes it so that deciding never loads the json package:
@@ -136,12 +136,8 @@ class CandidateEvaluation(namedtuple("CandidateEvaluation", "w filters f_sign"))
         return SOLUTION if self.f_sign == 0 else EXCLUDED_BY_EVALUATION
 
 
-class CandidateRecord(namedtuple("CandidateRecord", "k window per_candidate")):
-    """Everything the procedure did for one k: its window and every integer in it.
-
-    window is (lower, upper, den) from compute_bounds, the ends lower/den and
-    upper/den unreduced; per_candidate holds one CandidateEvaluation per integer.
-    """
+class CandidateRecord(namedtuple("CandidateRecord", "k per_candidate")):
+    """Everything the procedure did for one k: one CandidateEvaluation per integer of its window."""
 
     __slots__ = ()
 
@@ -305,8 +301,7 @@ def decide(ell: int, mode: str = FAST) -> Certificate:
     records = []
     batch = None
     for k in range(1, k_star + 1):
-        window = compute_bounds(ell, k)
-        ws = integers_in_window(window)
+        ws = integers_in_window(compute_bounds(ell, k))
         sums = None
         evaluations = []
         for w in ws:
@@ -332,7 +327,7 @@ def decide(ell: int, mode: str = FAST) -> Certificate:
                 if not reports[0].failed:
                     reports.append(check_modular_collapse(ell, k, nu(w)))
             evaluations.append(CandidateEvaluation(w, tuple(reports), sign))
-        records.append(CandidateRecord(k, window, tuple(evaluations)))
+        records.append(CandidateRecord(k, tuple(evaluations)))
 
     if mode == PARANOID:
         _check_nonempty_bound(ell, records)
@@ -430,37 +425,32 @@ def _evaluation_json(ev: CandidateEvaluation) -> str:
     return f'{{"f_sign":{sign},"filters":{{{filters}}},"status":{_esc(ev.status)},"w":"{ev.w}"}}'
 
 
-def _window_json(k: int, window: tuple[int, int, int]) -> str:
-    lower, upper, den = window
-    return f'"k":"{k}","window":["{_ratio_str(lower, den)}","{_ratio_str(upper, den)}"]'
+def _windows_json(ell: int, records: tuple[CandidateRecord, ...]) -> list[str]:
+    """The text of every window of k = 1..k_max(ell), each with the integers of its record.
 
-
-def _record_json(rec: CandidateRecord) -> str:
-    ws = ",".join(map(_evaluation_json, rec.per_candidate))
-    return f'{{{_window_json(rec.k, rec.window)},"ws":[{ws}]}}'
-
-
-def _empty_windows_json(ell: int, k_first: int) -> list[str]:
-    """The windows of k_first..k_max(ell), each rendered as a record with no integers.
-
-    The text is _window_json's for compute_bounds(ell, k), written from
-    per-ell constants.  With A = (ell-1)(ell-2) the upper end is
-    (12 ell^2 K + A) / (12 ell), which reduces by g = gcd(A, 12 ell) at
+    A window's text is that of its ends, compute_bounds(ell, k) reduced,
+    written from per-ell constants.  With A = (ell-1)(ell-2) the upper end
+    is (12 ell^2 K + A) / (12 ell), which reduces by g = gcd(A, 12 ell) at
     every K, so only the lower end, upper - A^2 / (72 ell^3 K), takes a gcd
     per window.  There are windows only for ell >= 8, where gcd(ell, A) <= 2
-    keeps 12 ell / g above 1, so the upper end is never an integer.
+    keeps 12 ell / g above 1, so the upper end is never an integer.  Each
+    record's "ws" is written under the window of its own k; a record with
+    no such window raises.
     """
     A = (ell - 1) * (ell - 2)
     g = gcd(A, 12 * ell)
     step, shift, q = 12 * ell * ell // g, A // g, 12 * ell // g
     scale, A2, den_step = 6 * ell * ell * g, A * A, 72 * ell**3
-    records = []
-    for k in range(k_first, k_max(ell) + 1):
+    ws = {rec.k: ",".join(map(_evaluation_json, rec.per_candidate)) for rec in records}
+    windows = []
+    for k in range(1, k_max(ell) + 1):
         K = k * (k + 1)
         u = step * K + shift
         lower = _ratio_str(scale * K * u - A2, den_step * K)
-        records.append(f'{{"k":"{k}","window":["{lower}","{u}/{q}"],"ws":[]}}')
-    return records
+        windows.append(f'{{"k":"{k}","window":["{lower}","{u}/{q}"],"ws":[{ws.pop(k, "")}]}}')
+    if ws:
+        raise ValueError(f"ell={ell}: records of k={sorted(ws)} have no window under the sharp cap")
+    return windows
 
 
 def certificate_json(cert: Certificate, include_timing: bool = True) -> str:
@@ -470,9 +460,7 @@ def certificate_json(cert: Certificate, include_timing: bool = True) -> str:
     escaped as json.dumps escapes it, so it equals
     json.dumps(..., sort_keys=True, separators=(",", ":")) of the same tree.
     """
-    records = [*map(_record_json, cert.candidates),
-               *_empty_windows_json(cert.ell, len(cert.candidates) + 1)]
-    parts = [f'"candidates":[{",".join(records)}]']
+    parts = [f'"candidates":[{",".join(_windows_json(cert.ell, cert.candidates))}]']
     if include_timing:
         parts.append(f'"elapsed_ms":{cert.elapsed_ms}')
     parts.append(f'"ell":{cert.ell}')

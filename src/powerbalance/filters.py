@@ -20,8 +20,8 @@ w itself and never a power sum: the valuations of the power sums come from
 the MacMillan-Sondow lemma, nu_2(S_m(k)) = 2f - 2 for odd m >= 3 and f - 1
 at m = 1, which decider checks on every batch it builds.  Callers gate it
 on the radical filter alone, whose PASS makes g >= 1.  That filter factors
-k(k+1) once per k per process, through a memo of at most
-_RADICAL_MEMO = 3000 radicals.
+k and k+1, each by trial division to its own square root, once per k per
+process, through a memo of at most _RADICAL_MEMO = 3000 radicals.
 The replay is two comparisons of scalars in (ell, f, g): Kummer's theorem
 fixes the valuation of the m = 1 and the last term and bounds every term
 between them, so no row over odd m is built and C(ell, m) is never formed.
@@ -56,8 +56,8 @@ class FilterReport(namedtuple("FilterReport", "name outcome detail")):
 
 @lru_cache(maxsize=_RADICAL_MEMO)
 def _radical(k: int) -> int:
-    """rad(k(k+1)), factored once per k per process."""
-    return rad(k * (k + 1))
+    """rad(k(k+1)) = rad(k) rad(k+1), as k and k+1 are coprime, once per k per process."""
+    return rad(k) * rad(k + 1)
 
 
 def filter_radical(k: int, w: int) -> FilterReport:

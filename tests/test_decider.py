@@ -89,7 +89,7 @@ def test_scan_beyond_the_cap_raises_on_a_nonempty_window():
     assert [rec.k for rec in records] == list(range(1, 7))
     with pytest.raises(RuntimeError, match="window k=6 holds .* beyond K"):
         decider._check_nonempty_bound(27, records[:-1])
-    empty = CandidateRecord(7, compute_bounds(27, 7), ())
+    empty = CandidateRecord(7, ())
     with pytest.raises(RuntimeError, match="window k=7 holds no integer at ell=27, below K"):
         decider._check_nonempty_bound(27, (*records, empty))
 
@@ -189,13 +189,13 @@ def test_certificate_stores_only_what_decide_observed():
               for cls in (Certificate, CandidateRecord, CandidateEvaluation, FilterReport)}
     assert stored == {
         "Certificate": ["ell", "candidates", "mode", "elapsed_ms"],
-        "CandidateRecord": ["k", "window", "per_candidate"],
+        "CandidateRecord": ["k", "per_candidate"],
         "CandidateEvaluation": ["w", "filters", "f_sign"],
         "FilterReport": ["name", "outcome", "detail"],
     }
     cert = decide(27)
     for rec in cert.candidates:
-        assert rec.integer_candidates == tuple(decider.integers_in_window(rec.window))
+        assert rec.integer_candidates == tuple(decider.integers_in_window(compute_bounds(27, rec.k)))
 
 
 def _one_record_of_each_type():
@@ -253,8 +253,9 @@ def test_window_ends_render_as_reduced_fractions():
 
 
 def test_fast_decide_builds_no_fraction_per_window(monkeypatch):
-    # every window of decide(999) stays an integer triple, and k* and the
-    # sharp cap are integer bounds, so deciding and rendering build no
+    # every window of decide(999) is an integer triple when decided and is
+    # rendered from integer constants, and k* and the sharp cap are integer
+    # bounds, so deciding and rendering build no
     # Fraction at all.  A cleared Faulhaber memo would build Bernoulli
     # Fractions if fast mode reached the closed form.
     powersum._faulhaber.cache_clear()
@@ -860,47 +861,52 @@ def test_certificate_timing_can_be_excluded():
     assert "elapsed_ms" in with_timing and "elapsed_ms" not in without
 
 
-def _empty_windows(ell, k_first):
-    """Every window from k_first to the sharp cap, from the definitions of a and b."""
+def _empty_windows(ell):
+    """Every window up to the sharp cap, from the definitions of a and b, with an empty "ws"."""
     a = Fraction((ell - 1) * (ell - 2), 12 * ell)
     b = 2 * a * a / ell
-    k = k_first
+    k = 1
     while k * (k + 1) <= 12 * a * a:  # 12 a^2 = A^2 / (12 ell^2), the sharp cap
         K = k * (k + 1)
         yield {"k": str(k), "window": [str(ell * K + a - b / K), str(ell * K + a)], "ws": []}
         k += 1
 
 
+def _record_tree(ell, rec):
+    """One record as a tree, its window the reduced ends of compute_bounds(ell, rec.k)."""
+    lower, upper, den = compute_bounds(ell, rec.k)
+    return {
+        "k": str(rec.k),
+        "window": [str(Fraction(lower, den)), str(Fraction(upper, den))],
+        "ws": [
+            {
+                "w": str(ev.w),
+                "filters": {
+                    r.name: {"outcome": r.outcome, "detail": r.detail}
+                    for r in ev.filters
+                },
+                "f_sign": ev.f_sign,
+                "status": ev.status,
+            }
+            for ev in rec.per_candidate
+        ],
+    }
+
+
 def _reference_tree(cert, include_timing):
     """The certificate as a tree of dicts, lists and strings, built field by field:
-    certificate_json must render it as json.dumps does.  The records are
-    followed by every window past them up to the sharp cap, each empty."""
+    certificate_json must render it as json.dumps does.  Every window up to
+    the sharp cap is listed: a record's under its own k, each other one empty."""
+    records = {rec.k: _record_tree(cert.ell, rec) for rec in cert.candidates}
+    candidates = [records.pop(int(window["k"]), window) for window in _empty_windows(cert.ell)]
+    assert not records, (cert.ell, sorted(records))
     out = {
         "schema": "1",
         "ell": cert.ell,
         "mode": cert.mode,
         "verdict": cert.verdict,
         "solutions": [[str(n), str(k)] for n, k in cert.solutions],
-        "candidates": [
-            {
-                "k": str(rec.k),
-                "window": [str(Fraction(rec.window[0], rec.window[2])),
-                           str(Fraction(rec.window[1], rec.window[2]))],
-                "ws": [
-                    {
-                        "w": str(ev.w),
-                        "filters": {
-                            r.name: {"outcome": r.outcome, "detail": r.detail}
-                            for r in ev.filters
-                        },
-                        "f_sign": ev.f_sign,
-                        "status": ev.status,
-                    }
-                    for ev in rec.per_candidate
-                ],
-            }
-            for rec in cert.candidates
-        ] + list(_empty_windows(cert.ell, len(cert.candidates) + 1)),
+        "candidates": candidates,
     }
     family = cert.family
     if family is not None:
@@ -936,14 +942,14 @@ def test_certificate_json_renders_the_reference_tree():
 
 
 def test_empty_windows_render_as_their_fractions():
-    # every window of ell 3..400 under the sharp cap, the empty ones past k*
-    # among them, rendered from per-ell constants: both ends must read as
-    # the reduced fractions of the definitions of a and b
+    # every window of ell 3..400 under the sharp cap, those of k = 1..k*
+    # and the empty ones past k*, rendered from per-ell constants: both
+    # ends must read as the reduced fractions of the definitions of a and b
     rendered = empty = 0
     for ell in range(3, 401):
-        texts = decider._empty_windows_json(ell, 1)
+        texts = decider._windows_json(ell, ())
         expected = [json.dumps(tree, sort_keys=True, separators=(",", ":"))
-                    for tree in _empty_windows(ell, 1)]
+                    for tree in _empty_windows(ell)]
         assert texts == expected, ell
         rendered += len(texts)
         empty += len(texts) - largest_k(nonempty_K_bound(ell))
@@ -958,12 +964,22 @@ def test_certificate_json_escapes_strings_as_json_dumps_does():
         CandidateEvaluation(14, (FilterReport('na"me \u00e9', PASS, odd),), 0),
         CandidateEvaluation(16, (), -1),
     )
-    cert = Certificate(7, (CandidateRecord(2, (-5, 9, 6), evaluations),
-                           CandidateRecord(3, (10, 20, 5), ())), FAST, 12)
+    # ell = 27 has windows up to k = 6, so both records are rendered
+    cert = Certificate(27, (CandidateRecord(2, evaluations), CandidateRecord(3, ())), FAST, 12)
     assert cert.verdict == SOLUTIONS
     _assert_renders_as_the_reference(cert)
     text = certificate_json(cert)
     assert text.isascii() and "\n" not in text
-    ws = json.loads(text)["candidates"][0]["ws"]
+    ws = json.loads(text)["candidates"][1]["ws"]
     assert ws[0]["filters"]["radical"]["detail"] == odd
     assert ws[1]["filters"]['na"me \u00e9']["detail"] == odd
+
+
+def test_certificate_json_rejects_a_record_without_a_window():
+    # a record is written under the window of its own k, so one past the
+    # sharp cap, or any at ell = 7, which has no window, cannot be written
+    rec = decide(27).candidates[0]
+    for ell, k in ((27, 7), (7, 1)):
+        cert = Certificate(ell, (rec._replace(k=k),), FAST, 0)
+        with pytest.raises(ValueError, match=rf"ell={ell}: records of k=\[{k}\] have no window"):
+            certificate_json(cert)

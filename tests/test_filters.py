@@ -218,7 +218,7 @@ def test_center_valuation_failures_are_never_roots():
             assert eval_f(build_f(ell, k), w) != 0, (ell, k, w)
 
 
-def _reference_collapse(ell, k, g, sums, nu2_binom=nu2_binomial):
+def _reference_collapse(ell, k, g, sums):
     """The replay with one nu2_binomial and one nu call per odd m, on a batch's sums."""
     even = ell % 2 == 0
     e = nu(ell)
@@ -228,7 +228,7 @@ def _reference_collapse(ell, k, g, sums, nu2_binom=nu2_binomial):
     top_m = ell - 1 if even else ell
 
     def term_val(m):
-        return 1 + nu2_binom(ell, m) + (ell - m - shift) * g + nu(sums[m])
+        return 1 + nu2_binomial(ell, m) + (ell - m - shift) * g + nu(sums[m])
 
     name = "modular_collapse"
     for m in range(3, top_m, 2):

@@ -113,12 +113,25 @@ MUTANTS = (
          "tests/test_decider.py::test_certificate_bytes_are_pinned"),
     ),
     Mutant(
-        "empty_windows_rendered_from_one_k_late", "decider.py",
-        "_empty_windows_json(cert.ell, len(cert.candidates) + 1)",
-        "_empty_windows_json(cert.ell, len(cert.candidates) + 2)",
+        "record_rendered_under_the_next_window", "decider.py",
+        '"ws":[{ws.pop(k, "")}]',
+        '"ws":[{ws.pop(k - 1, "")}]',
+        ("tests/test_decider.py::test_certificate_json_renders_the_reference_tree",
+         "tests/test_decider.py::test_certificate_bytes_are_pinned"),
+    ),
+    Mutant(
+        "windows_rendered_from_k_2", "decider.py",
+        "for k in range(1, k_max(ell) + 1):",
+        "for k in range(2, k_max(ell) + 1):",
         ("tests/test_decider.py::test_decide_eight_has_one_empty_window",
          "tests/test_decider.py::test_candidate_k_are_exactly_those_under_the_sharp_cap",
-         "tests/test_decider.py::test_certificate_json_renders_the_reference_tree"),
+         "tests/test_decider.py::test_empty_windows_render_as_their_fractions"),
+    ),
+    Mutant(
+        "record_without_a_window_dropped", "decider.py",
+        "    if ws:\n        raise ValueError(",
+        "    if False:\n        raise ValueError(",
+        ("tests/test_decider.py::test_certificate_json_rejects_a_record_without_a_window",),
     ),
     Mutant(
         "nonempty_check_passes_an_empty_record", "decider.py",
@@ -264,9 +277,9 @@ MUTANTS = (
         ("tests/test_filters.py::test_collapse_preconditions",),
     ),
     Mutant(
-        "radical_filter_on_rad_k", "filters.py",
-        "return rad(k * (k + 1))",
-        "return rad(k)",
+        "radical_filter_on_rad_k_plus_2", "filters.py",
+        "return rad(k) * rad(k + 1)",
+        "return rad(k) * rad(k + 2)",
         ("tests/test_filters.py::test_radical_filter",),
     ),
     Mutant(
