@@ -19,23 +19,28 @@ ell >= 3 the procedure is:
 The verdict never rests on a filter alone: a filter may only short-circuit
 the exact evaluation in fast mode, which reads every power sum from one
 route, powersum_batch.  The sign reads m <= 7 at every window integer of
-ell = 3..3000, so fast mode runs its batch over odd m <= _FAST_BATCH_M_MAX only
-and hands the sign a _SmallBatch: a mapping that yields any odd m <= ell
-it is asked for, building the full batch of that k on the first read past
-what it holds.  Every batch, small or grown, is checked against the
-MacMillan-Sondow lemma as soon as it is built, before any sign reads it:
-_check_valuations requires nu_2(S_1(k)) = f - 1 and nu_2(S_m(k)) = 2f - 2
-at every odd m >= 3, f = nu_2(k(k+1)), reading each sum's low bits only.
+ell = 3..3000, so each mode runs its batch over the odd m up to a small top
+only, _FAST_BATCH_M_MAX in fast mode and _CLOSED_CHECK_M_MAX in paranoid
+mode, and hands the sign a _SmallBatch: a mapping that yields any odd
+m <= ell it is asked for, building the full batch of that k on the first
+read past what it holds.  The next k's batch runs on from the small one.
+Every batch, small or grown, is checked by the mode's own check as soon as
+it is built, before any sign reads it.  Fast mode's, _check_valuations,
+holds it against the MacMillan-Sondow lemma at every m it holds:
+nu_2(S_1(k)) = f - 1 and nu_2(S_m(k)) = 2f - 2 at every odd m >= 3,
+f = nu_2(k(k+1)), reading each sum's low bits only.
 The collapse replay takes its valuations from that lemma, so it reads no
 batch.  The radical filter is the replay's one gate: every evaluated
 candidate that passes it is replayed, on g = nu_2(w) rather than w.
 Paranoid mode compares independent routes and raises on any
 disagreement.  It evaluates every candidate, so no filter excluded a root.
-Its batches hold every odd m <= ell.
-It checks each batch, before any sign reads it, against Carlitz-von Staudt
-for every m, then against MacMillan-Sondow for every m, then against
-Faulhaber (powersum_closed) for m <= _CLOSED_CHECK_M_MAX,
-well above the m <= 7 the series sign reads at window integers.  Each k's
+Its check, _crosscheck_powersums, holds a batch against Carlitz-von Staudt
+at every m it holds, then against MacMillan-Sondow at every m, then against
+Faulhaber (powersum_closed) for m <= _CLOSED_CHECK_M_MAX.  Its small batch
+holds exactly the odd m <= min(ell, _CLOSED_CHECK_M_MAX), so each of its
+sums passes all three routes; a grown batch passes the first two at every
+odd m <= ell and Faulhaber up to _CLOSED_CHECK_M_MAX, well above the m <= 7
+the series sign reads at window integers.  Each k's
 Faulhaber row is evaluated once per process, behind a memo of at most
 _CLOSED_ROW_MEMO = 1024 rows (_closed_row), and compared with every batch
 of that k; the memo holds closed-form values only, never a batch's.  It
@@ -107,7 +112,8 @@ SOLUTION = "SOLUTION"
 _FAST_BATCH_M_MAX = 15
 
 # Closed-form cross-check ceiling for paranoid mode: every batched power sum
-# with m at most this is re-derived through the Faulhaber polynomial.
+# with m at most this is re-derived through the Faulhaber polynomial.  It is
+# also the top of paranoid mode's batch, which grows past it only on demand.
 _CLOSED_CHECK_M_MAX = 41
 
 # Faulhaber rows _closed_row keeps: every k of a sweep up to ell = 3500 (k
@@ -223,24 +229,26 @@ def _check_valuations(k: int, sums: dict[int, int]) -> None:
 
 
 class _SmallBatch(dict):
-    """Fast mode's batch: S_m(k) for odd m <= _FAST_BATCH_M_MAX, grown on demand.
+    """A mode's batch: S_m(k) for the odd m up to the mode's top, grown on demand.
 
     It holds the small batch, which is what the next k's batch runs on
-    from.  The first read of any other m builds powersum_batch(k, ell),
-    checks all of it with _check_valuations, and serves that m and every
-    later one from it, so a sum is never read unchecked.
+    from, and check, the mode's check of a batch: _check_valuations in
+    fast mode, _crosscheck_powersums in paranoid mode.  The first read of
+    any other m builds powersum_batch(k, ell), runs check on all of it,
+    and serves that m and every later one from it, so a sum is never read
+    unchecked.
     """
 
-    __slots__ = ("_ell", "_k", "_full")
+    __slots__ = ("_ell", "_k", "_check", "_full")
 
-    def __init__(self, ell: int, k: int, sums: dict[int, int]):
+    def __init__(self, ell: int, k: int, sums: dict[int, int], check):
         super().__init__(sums)
-        self._ell, self._k, self._full = ell, k, None
+        self._ell, self._k, self._check, self._full = ell, k, check, None
 
     def __missing__(self, m: int) -> int:
         if self._full is None:
             full = powersum_batch(self._k, self._ell)
-            _check_valuations(self._k, full)
+            self._check(self._k, full)
             self._full = full
         return self._full[m]
 
@@ -250,7 +258,7 @@ def _crosscheck_powersums(k: int, sums: dict[int, int]) -> None:
 
     Carlitz-von Staudt divisibility is checked for every sum in the batch,
     then the MacMillan-Sondow valuations of every sum (_check_valuations),
-    then the Faulhaber closed form for the small exponents where it is
+    then the Faulhaber closed form for m <= _CLOSED_CHECK_M_MAX, where it is
     affordable, from k's memoized row.
     """
     half = k * (k + 1) // 2
@@ -297,7 +305,10 @@ def decide(ell: int, mode: str = FAST) -> Certificate:
         return Certificate(ell, (), mode, _elapsed_ms(t0))
 
     k_star = largest_k(nonempty_K_bound(ell))
-    m_max = ell if mode == PARANOID else min(ell, _FAST_BATCH_M_MAX)
+    if mode == PARANOID:
+        m_max, check = min(ell, _CLOSED_CHECK_M_MAX), _crosscheck_powersums
+    else:
+        m_max, check = min(ell, _FAST_BATCH_M_MAX), _check_valuations
     records = []
     batch = None
     for k in range(1, k_star + 1):
@@ -315,11 +326,8 @@ def decide(ell: int, mode: str = FAST) -> Certificate:
                 if sums is None:
                     sums = powersum_batch(k, m_max, start=batch)
                     batch = (k, sums)
-                    if mode == PARANOID:
-                        _crosscheck_powersums(k, sums)
-                    else:
-                        sums = _SmallBatch(ell, k, sums)
-                        _check_valuations(k, sums)
+                    sums = _SmallBatch(ell, k, sums, check)
+                    check(k, sums)
                 sign = _settle_sign(ell, k, w, excluded, sums, mode)
                 # reports[0] is the radical filter; passing it makes g >= 1,
                 # since 2 | k(k+1), which is all the replay needs.  The sharp

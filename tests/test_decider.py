@@ -10,6 +10,7 @@ import subprocess
 import sys
 from concurrent.futures import Future
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -417,9 +418,10 @@ def test_running_batch_equals_direct_sums(monkeypatch, ell, mode):
     else:
         used = [rec.k for rec in cert.candidates if rec.integer_candidates]
     assert calls and [k for _, k, _ in calls] == used
-    # paranoid batches hold every odd m <= ell; fast ones the odd m up to
-    # the small batch's top, none of which the sign outgrows here
-    m_max = ell if mode == PARANOID else decider._FAST_BATCH_M_MAX
+    # paranoid batches hold the odd m up to the Faulhaber check's top, fast
+    # ones the odd m up to the small batch's, none of which the sign outgrows
+    top = decider._CLOSED_CHECK_M_MAX if mode == PARANOID else decider._FAST_BATCH_M_MAX
+    m_max = min(ell, top)
     for _, k, sums in calls:
         assert list(sums) == list(range(1, m_max + 1, 2)), (ell, k)
         assert sums == {m: powersum_direct(k, m) for m in sums}, (ell, k)
@@ -457,20 +459,76 @@ def test_fast_batch_grows_on_demand_and_checks_what_it_grows(monkeypatch):
     assert grown  # decide(64) evaluates no candidate, decide(999) several
 
 
-def test_a_corrupted_grown_batch_is_rejected_before_the_sign_reads_it(monkeypatch):
-    monkeypatch.setattr(decider, "_FAST_BATCH_M_MAX", 1)
-    real_batch = decider.powersum_batch
+def test_paranoid_batch_grows_on_demand_and_crosschecks_what_it_grows(monkeypatch):
+    # a small batch of S_1 alone makes every sign grow its k's batch to
+    # every odd m <= ell; the certificates stay byte for byte those of the
+    # unpatched decision, which warms each k's Faulhaber row first, so the
+    # grown batches are compared with full rows and no short row is memoized
+    ells = (27, 255)
+    expected = [certificate_json(decide(ell, mode=PARANOID), include_timing=False)
+                for ell in ells]
+    assert hashlib.sha256(expected[0].encode()).hexdigest() == CERTIFICATE_DIGESTS[27, PARANOID]
+    monkeypatch.setattr(decider, "_CLOSED_CHECK_M_MAX", 1)
+    crosschecked = []
+    real_cross = decider._crosscheck_powersums
+
+    def cross(k, sums):
+        real_cross(k, sums)
+        crosschecked.append((k, len(sums)))
+
+    monkeypatch.setattr(decider, "_crosscheck_powersums", cross)
+    calls = _spy_on_batches(monkeypatch)
+    misses = decider._closed_row.cache_info().misses
+    for ell, text in zip(ells, expected):
+        calls.clear()
+        crosschecked.clear()
+        cert = decide(ell, mode=PARANOID)
+        assert certificate_json(cert, include_timing=False) == text, ell
+        used = [rec.k for rec in cert.candidates if rec.integer_candidates]
+        small = [(k0, k) for k0, k, sums in calls if len(sums) == 1]
+        grown = [(k0, k, sums) for k0, k, sums in calls if len(sums) > 1]
+        # the small batches run on from one another; each k grows once, afresh
+        assert small == list(zip([0, *used], used)), ell
+        assert [(k0, k) for k0, k, _ in grown] == [(0, k) for k in used], ell
+        for _, k, sums in grown:
+            assert sums == {m: powersum_direct(k, m) for m in range(1, ell + 1, 2)}, (ell, k)
+        # every batch, small or grown, passed _crosscheck_powersums once
+        assert crosschecked == [(k, len(sums)) for _, k, sums in calls], ell
+    assert grown
+    assert decider._closed_row.cache_info().misses == misses
+
+
+def _corrupt_grown_batches(monkeypatch, corrupt):
+    """Make decide see S_3(k) as corrupt(k, S_3(k)) in every batch past S_1."""
+    real_batch = powersum.powersum_batch
 
     def corrupted(k, m_max, start=None):
         sums = real_batch(k, m_max, start=start)
         if m_max > 1:
-            sums[3] *= 2
+            sums[3] = corrupt(k, sums[3])
         return sums
 
     monkeypatch.setattr(decider, "powersum_batch", corrupted)
+
+
+def test_a_corrupted_grown_batch_is_rejected_before_the_sign_reads_it(monkeypatch):
+    monkeypatch.setattr(decider, "_FAST_BATCH_M_MAX", 1)
+    _corrupt_grown_batches(monkeypatch, lambda k, s: 2 * s)
     # decide(75) first evaluates at k = 1, and every sign there reads S_3
     with pytest.raises(RuntimeError, match="failed 2-adic valuation: k=1, m=3$"):
         decide(75, mode=FAST)
+    # paranoid decide(27) evaluates at k = 1 and 2.  k(k+1)/2 = 1 divides
+    # anything, so the corruption starts at k = 2, where 3 does not divide
+    # S_3 + 1: Carlitz-von Staudt rejects it before MacMillan-Sondow would
+    monkeypatch.setattr(decider, "_CLOSED_CHECK_M_MAX", 1)
+    _corrupt_grown_batches(monkeypatch, lambda k, s: s + (k >= 2))
+    decider._closed_row.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="failed divisibility: k=2, m=3$"):
+            decide(27, mode=PARANOID)
+    finally:
+        # rows built under the patched top hold S_1 alone
+        decider._closed_row.cache_clear()
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="VmHWM is Linux's")
@@ -533,25 +591,39 @@ def test_paranoid_mode_crosschecks_every_batch(monkeypatch, corrupt, message):
 
 
 def test_every_batch_is_checked_before_any_sign_reads_it(monkeypatch):
-    checked = []
-    real_check, real_sign = decider._check_valuations, decider.balance_sign
+    # fast mode checks a batch with _check_valuations, paranoid mode with
+    # _crosscheck_powersums, which runs _check_valuations too; either way
+    # the object checked is the very object the sign then reads
+    checked, crosschecked = [], []
+    real_check, real_cross = decider._check_valuations, decider._crosscheck_powersums
+    real_sign = decider.balance_sign
 
     def check(k, sums):
         checked.append((k, sums))
         return real_check(k, sums)
 
+    def cross(k, sums):
+        crosschecked.append((k, sums))
+        return real_cross(k, sums)
+
     def sign(ell, k, w, sums):
         assert checked[-1][0] == k and checked[-1][1] is sums, (ell, k, w)
+        if mode == PARANOID:
+            assert crosschecked[-1][0] == k and crosschecked[-1][1] is sums, (ell, k, w)
         return real_sign(ell, k, w, sums)
 
     monkeypatch.setattr(decider, "_check_valuations", check)
+    monkeypatch.setattr(decider, "_crosscheck_powersums", cross)
     monkeypatch.setattr(decider, "balance_sign", sign)
     calls = _spy_on_batches(monkeypatch)
     for mode in (FAST, PARANOID):
         checked.clear()
+        crosschecked.clear()
         calls.clear()
         assert decide(75, mode=mode).verdict == NO_SOLUTION
         assert [k for k, _ in checked] == [k for _, k, _ in calls] != [], mode
+        assert [k for k, _ in crosschecked] == ([k for k, _ in checked] if mode == PARANOID
+                                                else []), mode
 
 
 def test_fast_decide_never_reaches_faulhaber(monkeypatch):
@@ -618,6 +690,40 @@ def test_paranoid_signs_read_only_faulhaber_checked_sums(monkeypatch):
         assert cert.verdict == NO_SOLUTION
     assert 1 in seen
     assert max(seen) <= decider._CLOSED_CHECK_M_MAX, sorted(seen)
+
+
+def test_paranoid_batches_at_large_ell_hold_only_faulhaber_checked_sums(monkeypatch):
+    # at ell = 1503 a full batch would hold 752 sums; the paranoid batch
+    # holds the 21 odd m <= _CLOSED_CHECK_M_MAX, never grows, and every sum a
+    # sign reads was compared with Faulhaber (after Carlitz-von Staudt and
+    # MacMillan-Sondow) in the batch the sign reads
+    faulhaber_checked = {}
+    reads = []
+    real_cross, real_sign = decider._crosscheck_powersums, decider.balance_sign
+
+    def cross(k, sums):
+        real_cross(k, sums)
+        faulhaber_checked[k] = (sums, set(islice(sums, len(decider._closed_row(k)))))
+
+    class Reads:
+        def __init__(self, k, sums):
+            self.k, self.sums = k, sums
+
+        def __getitem__(self, m):
+            reads.append((self.k, m))
+            return self.sums[m]
+
+    def sign(ell, k, w, sums):
+        assert faulhaber_checked[k][0] is sums, (ell, k, w)
+        return real_sign(ell, k, w, Reads(k, sums))
+
+    monkeypatch.setattr(decider, "_crosscheck_powersums", cross)
+    monkeypatch.setattr(decider, "balance_sign", sign)
+    calls = _spy_on_batches(monkeypatch)
+    assert decide(1503, mode=PARANOID).verdict == NO_SOLUTION
+    assert calls and max(len(sums) for _, _, sums in calls) == 21
+    assert [k for _, k, _ in calls] == list(faulhaber_checked)
+    assert reads and all(m in faulhaber_checked[k][1] for k, m in reads), sorted(set(reads))
 
 
 def test_paranoid_mode_rejects_disagreeing_sign_routes(monkeypatch):

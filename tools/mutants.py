@@ -247,14 +247,30 @@ MUTANTS = (
         "small_batch_never_grows", "decider.py",
         "full = powersum_batch(self._k, self._ell)",
         "full = dict(self)",
-        ("tests/test_decider.py::test_fast_batch_grows_on_demand_and_checks_what_it_grows",),
+        ("tests/test_decider.py::test_fast_batch_grows_on_demand_and_checks_what_it_grows",
+         "tests/test_decider.py::test_paranoid_batch_grows_on_demand_and_crosschecks_what_it_grows"),
     ),
     Mutant(
-        "grown_batch_skips_valuation_check", "decider.py",
-        "            _check_valuations(self._k, full)\n",
+        "grown_batch_skips_its_check", "decider.py",
+        "            self._check(self._k, full)\n",
         "",
         ("tests/test_decider.py::test_a_corrupted_grown_batch_is_rejected_before_the_sign_reads_it",
-         "tests/test_decider.py::test_fast_batch_grows_on_demand_and_checks_what_it_grows"),
+         "tests/test_decider.py::test_fast_batch_grows_on_demand_and_checks_what_it_grows",
+         "tests/test_decider.py::test_paranoid_batch_grows_on_demand_and_crosschecks_what_it_grows"),
+    ),
+    Mutant(
+        "paranoid_growth_checks_valuations_only", "decider.py",
+        "_SmallBatch(ell, k, sums, check)",
+        "_SmallBatch(ell, k, sums, _check_valuations)",
+        ("tests/test_decider.py::test_a_corrupted_grown_batch_is_rejected_before_the_sign_reads_it",
+         "tests/test_decider.py::test_paranoid_batch_grows_on_demand_and_crosschecks_what_it_grows"),
+    ),
+    Mutant(
+        "paranoid_top_past_closed_check", "decider.py",
+        "m_max, check = min(ell, _CLOSED_CHECK_M_MAX)",
+        "m_max, check = min(ell, _CLOSED_CHECK_M_MAX + 2)",
+        ("tests/test_decider.py::test_running_batch_equals_direct_sums[75-paranoid]",
+         "tests/test_decider.py::test_paranoid_batches_at_large_ell_hold_only_faulhaber_checked_sums"),
     ),
     Mutant(
         "empty_window_upper_unreduced", "decider.py",
