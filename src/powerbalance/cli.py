@@ -31,7 +31,7 @@ from .decider import FAMILY, FAST, PARANOID, certificate_json, decide, sweep
 from .equation import verify_instance
 from .filters import PASS, check_modular_collapse, filter_radical
 from .oracle import oracle_search
-from .powersum import check_carlitz_von_staudt, check_macmillan_sondow
+from .powersum import carlitz_von_staudt_fault, macmillan_sondow_fault, powersum_direct
 
 SWEEP_CSV_COLUMNS = ["ell", "verdict", "num_candidate_k", "num_integer_candidates", "elapsed_ms"]
 
@@ -150,19 +150,24 @@ def _cmd_oracle(args, out) -> int:
     return 0
 
 
+def _direct_batch(k: int, m_max: int) -> dict[int, int]:
+    """S_m(k) by direct summation for every odd m <= m_max, in the form powersum_batch returns."""
+    return {m: powersum_direct(k, m) for m in range(1, m_max + 1, 2)}
+
+
 def _lemma_carlitz(args):
     for k in range(1, args.k_max + 1):
-        for m in range(1, args.m_max + 1, 2):
-            if not check_carlitz_von_staudt(k, m):
-                return f"k={k}, m={m}: k(k+1)/2 does not divide S_m(k)"
+        m = carlitz_von_staudt_fault(k, _direct_batch(k, args.m_max))
+        if m is not None:
+            return f"k={k}, m={m}: k(k+1)/2 does not divide S_m(k)"
     return None
 
 
 def _lemma_macmillan(args):
     for k in range(1, args.k_max + 1):
-        for m in range(3, args.m_max + 1, 2):
-            if not check_macmillan_sondow(k, m):
-                return f"k={k}, m={m}: nu_2(2 S_m(k)) != 2 nu_2(k(k+1)) - 1"
+        m = macmillan_sondow_fault(k, _direct_batch(k, args.m_max))
+        if m is not None:
+            return f"k={k}, m={m}: nu_2(S_m(k)) breaks MacMillan-Sondow"
     return None
 
 

@@ -19,11 +19,11 @@ ell >= 3 the procedure is:
 The verdict never rests on a filter alone: a filter may only short-circuit
 the exact evaluation in fast mode, which reads every power sum from one
 route, powersum_batch.  The sign reads m <= 7 at every window integer of
-ell = 3..3000, so each mode runs its batch over the odd m up to a small top
-only, _FAST_BATCH_M_MAX in fast mode and _CLOSED_CHECK_M_MAX in paranoid
-mode, and hands the sign a _SmallBatch: a mapping that yields any odd
-m <= ell it is asked for, building the full batch of that k on the first
-read past what it holds.  The next k's batch runs on from the small one.
+ell = 3..3000, so both modes run their batch over the odd m up to one
+small top only, _BATCH_M_MAX, and hand the sign a _SmallBatch: a mapping
+that yields any odd m <= ell it is asked for, building the full batch of
+that k on the first read past what it holds.  The next k's batch runs on
+from the small one.  Only the check of a batch depends on the mode.
 Every batch, small or grown, is checked by the mode's own check as soon as
 it is built, before any sign reads it.  Fast mode's, _check_valuations,
 holds it against the MacMillan-Sondow lemma at every m it holds:
@@ -36,15 +36,14 @@ Paranoid mode compares independent routes and raises on any
 disagreement.  It evaluates every candidate, so no filter excluded a root.
 Its check, _crosscheck_powersums, holds a batch against Carlitz-von Staudt
 at every m it holds, then against MacMillan-Sondow at every m, then against
-Faulhaber (powersum_closed) for m <= _CLOSED_CHECK_M_MAX.  Its small batch
-holds exactly the odd m <= min(ell, _CLOSED_CHECK_M_MAX), so each of its
-sums passes all three routes; a grown batch passes the first two at every
-odd m <= ell and Faulhaber up to _CLOSED_CHECK_M_MAX, well above the m <= 7
-the series sign reads at window integers.  Each k's
-Faulhaber row is evaluated once per process, behind a memo of at most
-_CLOSED_ROW_MEMO = 1024 rows (_closed_row), and compared with every batch
-of that k; the memo holds closed-form values only, never a batch's.  It
-requires each series sign to equal equation.interval_sign, the sign of
+Faulhaber (powersum_closed) for m <= _CLOSED_CHECK_M_MAX; the two lemma
+checks are powersum's, which the lemmas command shares.  _BATCH_M_MAX lies
+below _CLOSED_CHECK_M_MAX, so each sum of a small batch passes all three
+routes; a grown batch passes the first two at every odd m <= ell and
+Faulhaber up to _CLOSED_CHECK_M_MAX.  Each k's Faulhaber row is evaluated
+once per process, behind a memo of at most _CLOSED_ROW_MEMO = 1024 rows
+(_closed_row), and compared with every batch of that k; the memo holds
+closed-form values only, never a batch's.  It requires each series sign to equal equation.interval_sign, the sign of
 LHS - RHS proven from the definition by integer bounds.  And it checks
 that the windows of k = 1..k* each hold an integer and that every window
 past k*, up to the weak K bound, holds none.  The outcome is a
@@ -75,9 +74,9 @@ import time
 from _json import encode_basestring_ascii as _esc
 from collections import deque, namedtuple
 from functools import lru_cache, partial
-from itertools import compress, islice, repeat
+from itertools import islice
 from math import gcd
-from operator import and_, attrgetter, mod, ne
+from operator import attrgetter, ne
 
 from .arith import nu
 from .bounds import compute_bounds, integers_in_window, k_max, largest_k, nonempty_K_bound, weak_K_bound
@@ -93,7 +92,7 @@ from .filters import (
     filter_radical,
     filter_w_plus_1_primes,
 )
-from .powersum import powersum_batch, powersum_closed
+from .powersum import carlitz_von_staudt_fault, macmillan_sondow_fault, powersum_batch, powersum_closed
 
 FAST = "fast"
 PARANOID = "paranoid"
@@ -106,14 +105,15 @@ EXCLUDED_BY_FILTER = "EXCLUDED_BY_FILTER"
 EXCLUDED_BY_EVALUATION = "EXCLUDED_BY_EVALUATION"
 SOLUTION = "SOLUTION"
 
-# Largest m of fast mode's batch.  The series sign reads m <= 7 at every
-# window integer of ell = 3..3000 and of every 997th ell up to 100003, so
-# this leaves room, and a batch grows to every odd m <= ell only past it.
-_FAST_BATCH_M_MAX = 15
+# Largest m of both modes' small batch, below _CLOSED_CHECK_M_MAX.  The
+# series sign reads m <= 7 at every window integer of ell = 3..3000 and of
+# every 997th ell up to 100003, so this leaves room, and a batch grows to
+# every odd m <= ell only past it.
+_BATCH_M_MAX = 15
 
-# Closed-form cross-check ceiling for paranoid mode: every batched power sum
-# with m at most this is re-derived through the Faulhaber polynomial.  It is
-# also the top of paranoid mode's batch, which grows past it only on demand.
+# Closed-form cross-check ceiling for paranoid mode, the Faulhaber range of
+# _closed_row: every batched power sum with m at most this, in a small batch
+# or a grown one, is re-derived through the Faulhaber polynomial.
 _CLOSED_CHECK_M_MAX = 41
 
 # Faulhaber rows _closed_row keeps: every k of a sweep up to ell = 3500 (k
@@ -210,33 +210,21 @@ def _closed_row(k: int) -> tuple[int, ...]:
 
 
 def _check_valuations(k: int, sums: dict[int, int]) -> None:
-    """Raise unless every sum of a batch has the 2-adic valuation MacMillan-Sondow gives.
-
-    With f = nu_2(k(k+1)) that is nu_2(S_1(k)) = f - 1 and nu_2(S_m(k)) = 2f - 2
-    at every odd m >= 3.  A sum s has nu_2(s) = v exactly when
-    s & (2b - 1) == b, b = 2^v, so only its low v + 1 bits are read, however
-    long it is, and a sum of 0 fails too.  The error names the first bad m.
-    """
-    f = nu(k * (k + 1))
-    b1, b = 1 << (f - 1), 1 << (2 * f - 2)
-    if sums[1] & (2 * b1 - 1) != b1:
-        m = 1
-    else:
-        lows = map(and_, islice(sums.values(), 1, None), repeat(2 * b - 1))
-        m = next(compress(islice(sums, 1, None), map(ne, lows, repeat(b))), None)
+    """Raise, naming the first bad m, unless every sum of a batch has MacMillan-Sondow's 2-adic valuation."""
+    m = macmillan_sondow_fault(k, sums)
     if m is not None:
         raise RuntimeError(f"power-sum batch failed 2-adic valuation: k={k}, m={m}")
 
 
 class _SmallBatch(dict):
-    """A mode's batch: S_m(k) for the odd m up to the mode's top, grown on demand.
+    """A batch: S_m(k) for the odd m <= min(ell, _BATCH_M_MAX), grown on demand.
 
-    It holds the small batch, which is what the next k's batch runs on
-    from, and check, the mode's check of a batch: _check_valuations in
-    fast mode, _crosscheck_powersums in paranoid mode.  The first read of
-    any other m builds powersum_batch(k, ell), runs check on all of it,
-    and serves that m and every later one from it, so a sum is never read
-    unchecked.
+    It holds the small batch, the same in both modes, which is what the
+    next k's batch runs on from, and check, the mode's check of a batch:
+    _check_valuations in fast mode, _crosscheck_powersums in paranoid
+    mode.  The first read of any other m builds powersum_batch(k, ell),
+    runs check on all of it, and serves that m and every later one from
+    it, so a sum is never read unchecked.
     """
 
     __slots__ = ("_ell", "_k", "_check", "_full")
@@ -256,14 +244,13 @@ class _SmallBatch(dict):
 def _crosscheck_powersums(k: int, sums: dict[int, int]) -> None:
     """Paranoid validation of a batch of power sums against independent facts.
 
-    Carlitz-von Staudt divisibility is checked for every sum in the batch,
+    Carlitz-von Staudt divisibility of every sum (carlitz_von_staudt_fault),
     then the MacMillan-Sondow valuations of every sum (_check_valuations),
     then the Faulhaber closed form for m <= _CLOSED_CHECK_M_MAX, where it is
     affordable, from k's memoized row.
     """
-    half = k * (k + 1) // 2
-    if any(map(mod, sums.values(), repeat(half))):
-        m = next(m for m, s in sums.items() if s % half)
+    m = carlitz_von_staudt_fault(k, sums)
+    if m is not None:
         raise RuntimeError(f"power-sum batch failed divisibility: k={k}, m={m}")
     _check_valuations(k, sums)
     closed = _closed_row(k)
@@ -305,10 +292,8 @@ def decide(ell: int, mode: str = FAST) -> Certificate:
         return Certificate(ell, (), mode, _elapsed_ms(t0))
 
     k_star = largest_k(nonempty_K_bound(ell))
-    if mode == PARANOID:
-        m_max, check = min(ell, _CLOSED_CHECK_M_MAX), _crosscheck_powersums
-    else:
-        m_max, check = min(ell, _FAST_BATCH_M_MAX), _check_valuations
+    m_max = min(ell, _BATCH_M_MAX)
+    check = _crosscheck_powersums if mode == PARANOID else _check_valuations
     records = []
     batch = None
     for k in range(1, k_star + 1):

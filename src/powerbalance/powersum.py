@@ -9,27 +9,27 @@ Three routes to the same integers:
   one division by D_m, whose remainder must be zero.  It is the second
   route that paranoid mode and the lemma checks compare the batch with;
 * ``powersum_batch``  -- all S_m(k) for odd m up to a bound in one
-  incremental pass, the only route fast mode uses.  Each mode runs it to
-  a small bound, 15 in fast mode and 41 in paranoid mode, where the
-  Faulhaber check ends, and hands the sign a mapping that yields any odd
-  m <= ell it is asked for, building and checking the full batch only on
-  such a read.  Each new i steps its
+  incremental pass, the only route fast mode uses.  Both modes run it to
+  the same small bound, 15, and hand the sign a mapping that yields any
+  odd m <= ell it is asked for, building and checking the full batch only
+  on such a read.  Each new i steps its
   row i, i^3, i^5, ... by one multiplication by i^2 at a time, lazily
   (itertools.accumulate), and the rows are summed with the base row one m
   at a time, so no list of powers is held per i.  Given a batch already
   held for some k0 <= k, it adds only the terms i^m with k0 < i <= k, so
   a caller walking k upward pays O(m_max) per step.
 
-Two classical congruence/valuation facts about these sums are exposed as
-checkable predicates: Carlitz-von Staudt (k(k+1)/2 divides S_m(k) for odd m)
-and MacMillan-Sondow (nu_2(2*S_m(k)) = 2*nu_2(k(k+1)) - 1 for odd m >= 3).
+Two classical facts about these sums, Carlitz-von Staudt and
+MacMillan-Sondow, are checked on a whole batch by carlitz_von_staudt_fault
+and macmillan_sondow_fault, the routines both the decider and
+``powerbalance lemmas`` run.
 """
 
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, repeat
+from itertools import accumulate, compress, islice, repeat
 from math import comb, lcm
-from operator import add, mul
+from operator import add, and_, mod, mul, ne
 
 from .arith import nu
 
@@ -123,21 +123,28 @@ def powersum_batch(
     return dict(zip(odd_ms, sums))
 
 
-def check_carlitz_von_staudt(k: int, m: int) -> bool:
-    """Does k(k+1)/2 divide S_m(k)?  (Carlitz-von Staudt: yes for odd m.)"""
-    if m < 1 or m % 2 == 0:
-        raise ValueError(f"m must be odd and >= 1, got {m}")
-    return powersum_direct(k, m) % (k * (k + 1) // 2) == 0
+def carlitz_von_staudt_fault(k: int, sums: dict[int, int]) -> int | None:
+    """The first m whose S_m(k) in sums k(k+1)/2 does not divide, or None.
 
-
-def check_macmillan_sondow(k: int, m: int) -> bool:
-    """Does nu_2(2*S_m(k)) equal 2*nu_2(k(k+1)) - 1?
-
-    The MacMillan-Sondow valuation theorem asserts this for all odd m >= 3,
-    independent of m.  (m = 1 is excluded: there nu_2(2*S_1(k)) is
-    nu_2(k(k+1)) itself, which the main argument tracks separately.)
+    Carlitz-von Staudt: k(k+1)/2 divides S_m(k) at every odd m.
     """
-    if m < 3 or m % 2 == 0:
-        raise ValueError(f"m must be odd and >= 3, got {m}")
-    s = powersum_direct(k, m)
-    return nu(2 * s) == 2 * nu(k * (k + 1)) - 1
+    half = k * (k + 1) // 2
+    if any(map(mod, sums.values(), repeat(half))):
+        return next(m for m, s in sums.items() if s % half)
+    return None
+
+
+def macmillan_sondow_fault(k: int, sums: dict[int, int]) -> int | None:
+    """The first m whose S_m(k) in sums, odd m = 1, 3, ... in order, breaks MacMillan-Sondow, or None.
+
+    With f = nu_2(k(k+1)) the lemma gives nu_2(S_1(k)) = f - 1 and
+    nu_2(S_m(k)) = 2f - 2 at every odd m >= 3.  A sum s has nu_2(s) = v
+    exactly when s & (2b - 1) == b, b = 2^v, so only its low v + 1 bits are
+    read, however long it is, and a sum of 0 fails too.
+    """
+    f = nu(k * (k + 1))
+    b1, b = 1 << (f - 1), 1 << (2 * f - 2)
+    if sums[1] & (2 * b1 - 1) != b1:
+        return 1
+    lows = map(and_, islice(sums.values(), 1, None), repeat(2 * b - 1))
+    return next(compress(islice(sums, 1, None), map(ne, lows, repeat(b))), None)

@@ -33,9 +33,10 @@ from powerbalance.equation import (
 )
 from powerbalance.oracle import count_positive_roots, has_simple_roots, oracle_search
 from powerbalance.powersum import (
-    check_carlitz_von_staudt,
-    check_macmillan_sondow,
+    carlitz_von_staudt_fault,
+    macmillan_sondow_fault,
     powersum_batch,
+    powersum_direct,
 )
 
 SWEEP_MIN, SWEEP_MAX = 3, 1000
@@ -104,16 +105,22 @@ def _power_sum_identity_scan():
             yield k, f, m, s
 
 
+def _direct_batch(k, m_max):
+    """S_m(k) by direct summation for every odd m <= m_max."""
+    return {m: powersum_direct(k, m) for m in range(1, m_max + 1, 2)}
+
+
 def test_criterion_4_power_sum_valuations():
     checked = 0
     for k, f, m, s in _power_sum_identity_scan():
         if m >= 3:
             assert nu(2 * s) == 2 * f - 1, (k, m)
             checked += 1
-    # the dedicated checker computes its sums independently; sample it
+    # the lemma routine the decision trusts, on sums computed independently
     rng = random.Random(108)
     for _ in range(50):
-        assert check_macmillan_sondow(rng.randint(1, 500), rng.randrange(3, 40, 2))
+        k = rng.randint(1, 500)
+        assert macmillan_sondow_fault(k, _direct_batch(k, rng.randrange(3, 40, 2))) is None, k
     report(4, f"nu_2(2 S_m(k)) = 2f-1 at all {checked} points (k <= 500, odd m in [3,39])")
 
 
@@ -124,7 +131,8 @@ def test_criterion_5_power_sum_divisibility():
         checked += 1
     rng = random.Random(109)
     for _ in range(50):
-        assert check_carlitz_von_staudt(rng.randint(1, 500), rng.randrange(1, 40, 2))
+        k = rng.randint(1, 500)
+        assert carlitz_von_staudt_fault(k, _direct_batch(k, rng.randrange(1, 40, 2))) is None, k
     report(5, f"k(k+1)/2 divides S_m(k) at all {checked} points (k <= 500, odd m in [1,39])")
 
 

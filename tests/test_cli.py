@@ -219,14 +219,18 @@ def test_lemmas_all(capsys):
         assert f"{name}: PASS" in out
 
 
-# each runner's predicate in cli (or the Kummer valuation the collapse runner
-# checks), a point it reaches under SMALL_LEMMA_RANGES, what the predicate
-# returns there when planted to fail, and the line printed
+# what each runner reads through cli (its predicate, the Kummer valuation
+# the collapse runner checks, or the direct sums the power-sum runners hand
+# the lemma routines the decision shares), a point it reaches under
+# SMALL_LEMMA_RANGES, what it returns there when planted to fail, and the
+# line printed
 FAILING_POINTS = [
-    ("carlitz-von-staudt", "check_carlitz_von_staudt", (3, 5), False,
+    # S_5(3) = 276; 284 keeps nu_2 = 2 but 6 does not divide it
+    ("carlitz-von-staudt", "powersum_direct", (3, 5), 284,
      "k=3, m=5: k(k+1)/2 does not divide S_m(k)"),
-    ("macmillan-sondow", "check_macmillan_sondow", (4, 7), False,
-     "k=4, m=7: nu_2(2 S_m(k)) != 2 nu_2(k(k+1)) - 1"),
+    # S_7(4) = 18700; doubled, 10 still divides it but nu_2 is 3, not 2
+    ("macmillan-sondow", "powersum_direct", (4, 7), 37400,
+     "k=4, m=7: nu_2(S_m(k)) breaks MacMillan-Sondow"),
     ("sandwich", "check_sandwich", (5, 2), False, "ell=5, k=2: root escapes the exact window"),
     ("appendix", "check_appendix_identity", (Fraction(8), Fraction(2)), False,
      "ell=8, K=2: inequality chain lines disagree"),
@@ -236,6 +240,9 @@ FAILING_POINTS = [
     # nu_2(C(10, 9)) = e = 1 at even ell's top_m = 9; 2 breaks only that fact
     ("modular-collapse", "nu2_binomial", (10, 9), 2,
      "ell=10, m=9: nu_2(C(ell, m)) = 2 against e = 1"),
+    # S_1(4) = 10; doubled, 10 still divides it but nu_2 is 2, not f - 1 = 1
+    ("macmillan-sondow", "powersum_direct", (4, 1), 20,
+     "k=4, m=1: nu_2(S_m(k)) breaks MacMillan-Sondow"),
 ]
 
 

@@ -418,19 +418,37 @@ def test_running_batch_equals_direct_sums(monkeypatch, ell, mode):
     else:
         used = [rec.k for rec in cert.candidates if rec.integer_candidates]
     assert calls and [k for _, k, _ in calls] == used
-    # paranoid batches hold the odd m up to the Faulhaber check's top, fast
-    # ones the odd m up to the small batch's, none of which the sign outgrows
-    top = decider._CLOSED_CHECK_M_MAX if mode == PARANOID else decider._FAST_BATCH_M_MAX
-    m_max = min(ell, top)
+    # both modes' batches hold the odd m up to the small batch's top, which
+    # the sign never outgrows
+    m_max = min(ell, decider._BATCH_M_MAX)
     for _, k, sums in calls:
         assert list(sums) == list(range(1, m_max + 1, 2)), (ell, k)
         assert sums == {m: powersum_direct(k, m) for m in sums}, (ell, k)
 
 
+@pytest.mark.parametrize("ell", [75, 363, 1000])
+def test_both_modes_build_the_same_small_batches(monkeypatch, ell):
+    # the mode picks the check of a batch, never its top: every batch either
+    # mode builds holds exactly the odd m <= min(ell, 15), and a k that both
+    # modes batch gets equal sums
+    calls = _spy_on_batches(monkeypatch)
+    by_mode = {}
+    for mode in (FAST, PARANOID):
+        calls.clear()
+        assert decide(ell, mode=mode).verdict == NO_SOLUTION
+        assert calls, mode
+        for _, k, sums in calls:
+            assert list(sums) == list(range(1, min(ell, 15) + 1, 2)), (mode, k)
+        by_mode[mode] = {k: sums for _, k, sums in calls}
+    fast, paranoid = by_mode[FAST], by_mode[PARANOID]
+    assert fast.keys() <= paranoid.keys()
+    assert all(fast[k] == paranoid[k] for k in fast), ell
+
+
 def test_fast_batch_grows_on_demand_and_checks_what_it_grows(monkeypatch):
     # a small batch of S_1 alone makes every sign grow its k's batch to
     # every odd m <= ell; the certificates stay byte for byte the pinned ones
-    monkeypatch.setattr(decider, "_FAST_BATCH_M_MAX", 1)
+    monkeypatch.setattr(decider, "_BATCH_M_MAX", 1)
     checked = []
     real_check = decider._check_valuations
 
@@ -463,12 +481,12 @@ def test_paranoid_batch_grows_on_demand_and_crosschecks_what_it_grows(monkeypatc
     # a small batch of S_1 alone makes every sign grow its k's batch to
     # every odd m <= ell; the certificates stay byte for byte those of the
     # unpatched decision, which warms each k's Faulhaber row first, so the
-    # grown batches are compared with full rows and no short row is memoized
+    # grown batches are compared with the memoized rows
     ells = (27, 255)
     expected = [certificate_json(decide(ell, mode=PARANOID), include_timing=False)
                 for ell in ells]
     assert hashlib.sha256(expected[0].encode()).hexdigest() == CERTIFICATE_DIGESTS[27, PARANOID]
-    monkeypatch.setattr(decider, "_CLOSED_CHECK_M_MAX", 1)
+    monkeypatch.setattr(decider, "_BATCH_M_MAX", 1)
     crosschecked = []
     real_cross = decider._crosscheck_powersums
 
@@ -512,7 +530,7 @@ def _corrupt_grown_batches(monkeypatch, corrupt):
 
 
 def test_a_corrupted_grown_batch_is_rejected_before_the_sign_reads_it(monkeypatch):
-    monkeypatch.setattr(decider, "_FAST_BATCH_M_MAX", 1)
+    monkeypatch.setattr(decider, "_BATCH_M_MAX", 1)
     _corrupt_grown_batches(monkeypatch, lambda k, s: 2 * s)
     # decide(75) first evaluates at k = 1, and every sign there reads S_3
     with pytest.raises(RuntimeError, match="failed 2-adic valuation: k=1, m=3$"):
@@ -520,15 +538,9 @@ def test_a_corrupted_grown_batch_is_rejected_before_the_sign_reads_it(monkeypatc
     # paranoid decide(27) evaluates at k = 1 and 2.  k(k+1)/2 = 1 divides
     # anything, so the corruption starts at k = 2, where 3 does not divide
     # S_3 + 1: Carlitz-von Staudt rejects it before MacMillan-Sondow would
-    monkeypatch.setattr(decider, "_CLOSED_CHECK_M_MAX", 1)
     _corrupt_grown_batches(monkeypatch, lambda k, s: s + (k >= 2))
-    decider._closed_row.cache_clear()
-    try:
-        with pytest.raises(RuntimeError, match="failed divisibility: k=2, m=3$"):
-            decide(27, mode=PARANOID)
-    finally:
-        # rows built under the patched top hold S_1 alone
-        decider._closed_row.cache_clear()
+    with pytest.raises(RuntimeError, match="failed divisibility: k=2, m=3$"):
+        decide(27, mode=PARANOID)
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="VmHWM is Linux's")
@@ -694,7 +706,8 @@ def test_paranoid_signs_read_only_faulhaber_checked_sums(monkeypatch):
 
 def test_paranoid_batches_at_large_ell_hold_only_faulhaber_checked_sums(monkeypatch):
     # at ell = 1503 a full batch would hold 752 sums; the paranoid batch
-    # holds the 21 odd m <= _CLOSED_CHECK_M_MAX, never grows, and every sum a
+    # holds the 8 odd m <= 15, never grows, holds no sum past the 21 odd
+    # m <= _CLOSED_CHECK_M_MAX that Faulhaber is compared at, and every sum a
     # sign reads was compared with Faulhaber (after Carlitz-von Staudt and
     # MacMillan-Sondow) in the batch the sign reads
     faulhaber_checked = {}
@@ -721,7 +734,8 @@ def test_paranoid_batches_at_large_ell_hold_only_faulhaber_checked_sums(monkeypa
     monkeypatch.setattr(decider, "balance_sign", sign)
     calls = _spy_on_batches(monkeypatch)
     assert decide(1503, mode=PARANOID).verdict == NO_SOLUTION
-    assert calls and max(len(sums) for _, _, sums in calls) == 21
+    assert calls and {len(sums) for _, _, sums in calls} == {8}
+    assert all(len(sums) <= len(decider._closed_row(k)) for _, k, sums in calls)
     assert [k for _, k, _ in calls] == list(faulhaber_checked)
     assert reads and all(m in faulhaber_checked[k][1] for k, m in reads), sorted(set(reads))
 

@@ -10,8 +10,8 @@ import pytest
 import powerbalance.powersum as ps
 from powerbalance.powersum import (
     bernoulli_numbers,
-    check_carlitz_von_staudt,
-    check_macmillan_sondow,
+    carlitz_von_staudt_fault,
+    macmillan_sondow_fault,
     powersum_batch,
     powersum_closed,
     powersum_direct,
@@ -164,38 +164,41 @@ def test_strictly_increasing_in_k_and_m():
             assert powersum_direct(k, m + 1) > here
 
 
+def _direct_batch(k, m_max):
+    return {m: powersum_direct(k, m) for m in range(1, m_max + 1, 2)}
+
+
 def test_carlitz_von_staudt_examples():
-    assert check_carlitz_von_staudt(4, 5)  # 1300 divisible by 10
-    assert check_carlitz_von_staudt(1, 3)
-    assert check_carlitz_von_staudt(3, 3)  # 36 divisible by 6
+    assert carlitz_von_staudt_fault(4, {1: 10, 3: 100, 5: 1300}) is None  # all divisible by 10
+    assert carlitz_von_staudt_fault(1, {1: 1, 3: 1}) is None
+    assert carlitz_von_staudt_fault(3, {1: 6, 3: 36}) is None  # 36 divisible by 6
+    # the first sum k(k+1)/2 does not divide is named
+    assert carlitz_von_staudt_fault(4, {1: 10, 3: 101, 5: 1301}) == 3
 
 
 def test_carlitz_von_staudt_range():
     for k in range(1, 61):
-        for m in range(1, 40, 2):
-            assert check_carlitz_von_staudt(k, m), (k, m)
-
-
-def test_carlitz_von_staudt_rejects_even_m():
-    with pytest.raises(ValueError):
-        check_carlitz_von_staudt(3, 4)
+        sums = _direct_batch(k, 39)
+        assert carlitz_von_staudt_fault(k, sums) is None, k
+        if k > 1:
+            for m in sums:
+                assert carlitz_von_staudt_fault(k, {**sums, m: sums[m] + 1}) == m, (k, m)
 
 
 def test_macmillan_sondow_examples():
-    # k=3: 2*S_3(3) = 72 = 2^3 * 9 and f = nu_2(12) = 2, so 2f-1 = 3
-    assert check_macmillan_sondow(3, 3)
-    assert check_macmillan_sondow(1, 3)  # 2*S_3(1) = 2, f = 1
-    assert check_macmillan_sondow(7, 5)
+    # k=3: f = nu_2(12) = 2; S_1(3) = 6 has nu_2 = f - 1 = 1 and
+    # S_3(3) = 36 has nu_2 = 2f - 2 = 2
+    assert macmillan_sondow_fault(3, {1: 6, 3: 36}) is None
+    assert macmillan_sondow_fault(1, {1: 1, 3: 1}) is None  # f = 1: every sum odd
+    assert macmillan_sondow_fault(7, {1: 28, 3: 784, 5: 29008}) is None  # f = 3: 4, 16, 16
+    # the first sum off the lemma is named, m = 1 too
+    assert macmillan_sondow_fault(3, {1: 12, 3: 36}) == 1
+    assert macmillan_sondow_fault(3, {1: 6, 3: 72}) == 3
 
 
 def test_macmillan_sondow_range():
     for k in range(1, 61):
-        for m in range(3, 40, 2):
-            assert check_macmillan_sondow(k, m), (k, m)
-
-
-def test_macmillan_sondow_rejects_bad_m():
-    with pytest.raises(ValueError):
-        check_macmillan_sondow(3, 1)
-    with pytest.raises(ValueError):
-        check_macmillan_sondow(3, 4)
+        sums = _direct_batch(k, 39)
+        assert macmillan_sondow_fault(k, sums) is None, k
+        for m in sums:
+            assert macmillan_sondow_fault(k, {**sums, m: 2 * sums[m]}) == m, (k, m)

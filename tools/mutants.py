@@ -179,18 +179,24 @@ MUTANTS = (
         ("tests/test_filters.py::test_collapse_matches_reference_on_every_exit_at_both_parities",),
     ),
     Mutant(
-        "valuation_check_skips_m_1", "decider.py",
+        "valuation_check_skips_m_1", "powersum.py",
         "if sums[1] & (2 * b1 - 1) != b1:",
         "if False:",
         ("tests/test_filters.py::test_sum_valuations_name_the_m_of_a_zero_sum[0]",
          "tests/test_filters.py::test_corrupted_batches_are_rejected_in_both_modes"),
     ),
     Mutant(
-        "valuation_mask_one_bit_short", "decider.py",
+        "valuation_mask_one_bit_short", "powersum.py",
         "repeat(2 * b - 1)",
         "repeat(b - 1)",
         ("tests/test_filters.py::test_sum_valuations_match_nu_on_true_and_shifted_batches",
          "tests/test_filters.py::test_sum_valuations_read_sums_past_the_low_word_exactly"),
+    ),
+    Mutant(
+        "divisibility_check_skips_the_last_sum", "powersum.py",
+        "any(map(mod, sums.values(), repeat(half)))",
+        "any(map(mod, islice(sums.values(), len(sums) - 1), repeat(half)))",
+        ("tests/test_filters.py::test_corrupted_batches_are_rejected_in_both_modes",),
     ),
     Mutant(
         "collapse_m1_without_f", "filters.py",
@@ -266,11 +272,10 @@ MUTANTS = (
          "tests/test_decider.py::test_paranoid_batch_grows_on_demand_and_crosschecks_what_it_grows"),
     ),
     Mutant(
-        "paranoid_top_past_closed_check", "decider.py",
-        "m_max, check = min(ell, _CLOSED_CHECK_M_MAX)",
-        "m_max, check = min(ell, _CLOSED_CHECK_M_MAX + 2)",
-        ("tests/test_decider.py::test_running_batch_equals_direct_sums[75-paranoid]",
-         "tests/test_decider.py::test_paranoid_batches_at_large_ell_hold_only_faulhaber_checked_sums"),
+        "batch_top_past_closed_check", "decider.py",
+        "_BATCH_M_MAX = 15",
+        "_BATCH_M_MAX = 43",
+        ("tests/test_decider.py::test_paranoid_batches_at_large_ell_hold_only_faulhaber_checked_sums",),
     ),
     Mutant(
         "empty_window_upper_unreduced", "decider.py",
