@@ -9,7 +9,15 @@ ell >= 3 the procedure is:
      bounds.largest_k).  K* never exceeds the sharp cap
      A^2 / (12 ell^2), and every window past k* is empty;
   2. for each k, list the integers inside the exact root window;
-  3. run the 2-adic filters on each integer candidate;
+  3. run the 2-adic filters on each integer candidate.  Each valuation is
+     computed once where it is fixed: e = nu_2(ell) once per exponent,
+     f = nu_2(k(k+1)) once per k and g = nu_2(w) once per candidate, and
+     the collapse replay of step 4 takes that same g.  The g_ge_e_plus_1
+     report, a function of (e, g), is built once per distinct g, and the
+     3f_plus_3 report, a function of (ell, f), once per distinct f; each
+     is shared by every candidate it describes.  That reuse lives in dicts
+     local to one decide call, so nothing outlives the call.  The radical
+     and w + 1 filters read w itself and run on every candidate;
   4. settle the sign of f(k, w) for every survivor exactly, as the sign of
      LHS - RHS at n = w - k read off a truncated binomial series with a
      proven tail bound (equation.balance_sign), and replay the 2-adic
@@ -40,10 +48,14 @@ Faulhaber (powersum_closed) for m <= _CLOSED_CHECK_M_MAX; the two lemma
 checks are powersum's, which the lemmas command shares.  _BATCH_M_MAX lies
 below _CLOSED_CHECK_M_MAX, so each sum of a small batch passes all three
 routes; a grown batch passes the first two at every odd m <= ell and
-Faulhaber up to _CLOSED_CHECK_M_MAX.  Each k's Faulhaber row is evaluated
-once per process, behind a memo of at most _CLOSED_ROW_MEMO = 1024 rows
-(_closed_row), and compared with every batch of that k; the memo holds
-closed-form values only, never a batch's.  It requires each series sign to equal equation.interval_sign, the sign of
+Faulhaber up to _CLOSED_CHECK_M_MAX.  Each k's Faulhaber row, the odd
+m <= _CLOSED_ROW_M_MAX of a small batch, is evaluated once per process,
+behind a memo of at most _CLOSED_ROW_MEMO = 1024 rows (_closed_row), and
+compared with every batch of that k; the memo holds closed-form values
+only, never a batch's.  A grown batch's m past the row, up to
+_CLOSED_CHECK_M_MAX, are compared with powersum_closed directly, without
+a memo: no batch grows at any ell of 3..3000.  Paranoid mode also
+requires each series sign to equal equation.interval_sign, the sign of
 LHS - RHS proven from the definition by integer bounds.  And it checks
 that the windows of k = 1..k* each hold an integer and that every window
 past k*, up to the weak K bound, holds none.  The outcome is a
@@ -111,13 +123,17 @@ SOLUTION = "SOLUTION"
 # every odd m <= ell only past it.
 _BATCH_M_MAX = 15
 
-# Closed-form cross-check ceiling for paranoid mode, the Faulhaber range of
-# _closed_row: every batched power sum with m at most this, in a small batch
-# or a grown one, is re-derived through the Faulhaber polynomial.
+# Closed-form cross-check ceiling for paranoid mode: every batched power sum
+# with m at most this, in a small batch or a grown one, is re-derived
+# through the Faulhaber polynomial.
 _CLOSED_CHECK_M_MAX = 41
 
+# Largest m of _closed_row, the top of a small batch: the m past it that a
+# grown batch holds are compared with Faulhaber without a memo.
+_CLOSED_ROW_M_MAX = min(_BATCH_M_MAX, _CLOSED_CHECK_M_MAX)
+
 # Faulhaber rows _closed_row keeps: every k of a sweep up to ell = 3500 (k
-# below ell / sqrt(12)), at about 1.4 KB a row at k = 1000, so 1.5 MB at most.
+# below ell / sqrt(12)), at about 0.4 KB a row at k = 1000, so 0.5 MB at most.
 _CLOSED_ROW_MEMO = 1024
 
 _FAMILY_SAMPLE_COUNT = 5
@@ -192,21 +208,10 @@ def _elapsed_ms(t0: float) -> int:
     return int(round((time.perf_counter() - t0) * 1000))
 
 
-def _run_filters(ell: int, k: int, w: int) -> list[FilterReport]:
-    reports = [
-        filter_radical(k, w),
-        filter_g_ge_e_plus_1(ell, w),
-        filter_3f_plus_3(ell, k),
-    ]
-    if ell % 2 == 0 and ell >= 4:
-        reports.append(filter_w_plus_1_primes(ell, w))
-    return reports
-
-
 @lru_cache(maxsize=_CLOSED_ROW_MEMO)
 def _closed_row(k: int) -> tuple[int, ...]:
-    """powersum_closed(k, m) for every odd m <= _CLOSED_CHECK_M_MAX, once per k per process."""
-    return tuple(powersum_closed(k, m) for m in range(1, _CLOSED_CHECK_M_MAX + 1, 2))
+    """powersum_closed(k, m) for every odd m <= _CLOSED_ROW_M_MAX, once per k per process."""
+    return tuple(powersum_closed(k, m) for m in range(1, _CLOSED_ROW_M_MAX + 1, 2))
 
 
 def _check_valuations(k: int, sums: dict[int, int]) -> None:
@@ -247,7 +252,8 @@ def _crosscheck_powersums(k: int, sums: dict[int, int]) -> None:
     Carlitz-von Staudt divisibility of every sum (carlitz_von_staudt_fault),
     then the MacMillan-Sondow valuations of every sum (_check_valuations),
     then the Faulhaber closed form for m <= _CLOSED_CHECK_M_MAX, where it is
-    affordable, from k's memoized row.
+    affordable: from k's memoized row for the m of a small batch, and
+    evaluated afresh for the m past it that only a grown batch holds.
     """
     m = carlitz_von_staudt_fault(k, sums)
     if m is not None:
@@ -257,6 +263,10 @@ def _crosscheck_powersums(k: int, sums: dict[int, int]) -> None:
     if any(map(ne, sums.values(), closed)):
         m = next(m for m, s, c in zip(sums, sums.values(), closed) if s != c)
         raise RuntimeError(f"power-sum batch disagrees with closed form: k={k}, m={m}")
+    # a batch's keys are the odd m from 1 on, so these are its m past the row, up to the ceiling
+    for m in islice(sums, len(closed), _CLOSED_CHECK_M_MAX // 2 + 1):
+        if sums[m] != powersum_closed(k, m):
+            raise RuntimeError(f"power-sum batch disagrees with closed form: k={k}, m={m}")
 
 
 def _settle_sign(ell: int, k: int, w: int, excluded: bool, sums: dict[int, int], mode: str) -> int:
@@ -294,15 +304,34 @@ def decide(ell: int, mode: str = FAST) -> Certificate:
     k_star = largest_k(nonempty_K_bound(ell))
     m_max = min(ell, _BATCH_M_MAX)
     check = _crosscheck_powersums if mode == PARANOID else _check_valuations
+    e = nu(ell)
+    # filter_w_plus_1_primes applies to even ell >= 4, which is every even ell here
+    even = ell % 2 == 0
+    # the g_ge_e_plus_1 report of each distinct g and the 3f_plus_3 report
+    # of each distinct f, shared by every candidate they describe
+    g_reports, f_reports = {}, {}
     records = []
     batch = None
     for k in range(1, k_star + 1):
         ws = integers_in_window(compute_bounds(ell, k))
+        f = nu(k * (k + 1))
+        f_report = f_reports.get(f)
+        if f_report is None:
+            f_report = f_reports[f] = filter_3f_plus_3(ell, f)
         sums = None
         evaluations = []
         for w in ws:
-            reports = _run_filters(ell, k, w)
-            excluded = any(r.failed for r in reports)
+            g = nu(w)
+            g_report = g_reports.get(g)
+            if g_report is None:
+                g_report = g_reports[g] = filter_g_ge_e_plus_1(e, g)
+            radical = filter_radical(k, w)
+            reports = [radical, g_report, f_report]
+            excluded = radical.failed or g_report.failed or f_report.failed
+            if even:
+                w_plus_1 = filter_w_plus_1_primes(ell, w)
+                reports.append(w_plus_1)
+                excluded = excluded or w_plus_1.failed
             sign = None
             if mode == PARANOID or not excluded:
                 # the sign reads the batch; it runs on from the last k that
@@ -314,11 +343,11 @@ def decide(ell: int, mode: str = FAST) -> Certificate:
                     sums = _SmallBatch(ell, k, sums, check)
                     check(k, sums)
                 sign = _settle_sign(ell, k, w, excluded, sums, mode)
-                # reports[0] is the radical filter; passing it makes g >= 1,
-                # since 2 | k(k+1), which is all the replay needs.  The sharp
-                # cap admits no k below ell = 8, so ell >= 5 holds here
-                if not reports[0].failed:
-                    reports.append(check_modular_collapse(ell, k, nu(w)))
+                # passing the radical filter makes g >= 1, since 2 | k(k+1),
+                # which is all the replay needs.  The sharp cap admits no k
+                # below ell = 8, so ell >= 5 holds here
+                if not radical.failed:
+                    reports.append(check_modular_collapse(ell, k, g))
             evaluations.append(CandidateEvaluation(w, tuple(reports), sign))
         records.append(CandidateRecord(k, tuple(evaluations)))
 

@@ -11,6 +11,14 @@ when the filter could not decide (an incomplete factorization).  Filters are acc
 never trusts a FAIL without the option of exact evaluation, and paranoid
 mode settles every filtered candidate's sign too (see decider).
 
+Each filter takes exactly the values its report is a function of.
+filter_g_ge_e_plus_1 takes (e, g) and filter_3f_plus_3 takes (ell, f), so
+decider computes e once per exponent, f once per k and g once per
+candidate, and builds each of these two reports once per distinct g or f,
+shared by every candidate it describes.  That reuse lives within one
+decide call: nothing here outlives it.  filter_radical and
+filter_w_plus_1_primes read w itself and run once per candidate.
+
 check_modular_collapse is different in kind: it replays, on one concrete
 candidate, the 2-adic congruence argument that rules out solutions for
 ell >= 5.  There PASS means "the contradiction is witnessed on this
@@ -68,10 +76,8 @@ def filter_radical(k: int, w: int) -> FilterReport:
     return FilterReport("radical", PASS, f"rad({k * (k + 1)}) = {r} divides w = {w}")
 
 
-def filter_g_ge_e_plus_1(ell: int, w: int) -> FilterReport:
-    """nu_2(w) must exceed nu_2(ell): g >= e + 1."""
-    e = nu(ell)
-    g = nu(w)
+def filter_g_ge_e_plus_1(e: int, g: int) -> FilterReport:
+    """g = nu_2(w) must exceed e = nu_2(ell): g >= e + 1."""
     if g < e + 1:
         return FilterReport("g_ge_e_plus_1", FAIL, f"g = {g} < e + 1 = {e + 1}")
     return FilterReport("g_ge_e_plus_1", PASS, f"g = {g} >= e + 1 = {e + 1}")
@@ -105,11 +111,10 @@ def filter_w_plus_1_primes(ell: int, w: int) -> FilterReport:
     )
 
 
-def filter_3f_plus_3(ell: int, k: int) -> FilterReport:
-    """Solutions require 3*f + 3 <= ell; with f >= 1 this kills ell <= 5."""
+def filter_3f_plus_3(ell: int, f: int) -> FilterReport:
+    """Solutions require 3f + 3 <= ell, f = nu_2(k(k+1)); with f >= 1 this kills ell <= 5."""
     if ell < 3:
         raise ValueError(f"this filter applies for ell >= 3, got {ell}")
-    f = nu(k * (k + 1))
     if 3 * f + 3 > ell:
         return FilterReport("3f_plus_3", FAIL, f"3f + 3 = {3 * f + 3} > ell = {ell}")
     return FilterReport("3f_plus_3", PASS, f"3f + 3 = {3 * f + 3} <= ell = {ell}")

@@ -657,10 +657,21 @@ def test_fast_decide_never_reaches_faulhaber(monkeypatch):
 
 
 def test_closed_row_is_faulhaber_at_every_checked_m():
+    # the memoized row holds the odd m of a small batch, m <= 15
     for k in range(1, 101):
         row = decider._closed_row(k)
-        assert row == tuple(powersum_closed(k, m) for m in range(1, 42, 2)), k
-        assert len(row) == decider._CLOSED_CHECK_M_MAX // 2 + 1
+        assert row == tuple(powersum_closed(k, m) for m in range(1, 16, 2)), k
+        assert len(row) == min(decider._BATCH_M_MAX, decider._CLOSED_CHECK_M_MAX) // 2 + 1
+    # a grown batch is compared with Faulhaber past the row too, up to
+    # m = 41: a sum made wrong by (k(k+1))^2, which keeps its divisibility
+    # and its 2-adic valuation, is named at every odd m <= 41
+    for k in (2, 3, 12):
+        sums = powersum.powersum_batch(k, 45)
+        decider._crosscheck_powersums(k, sums)
+        for m in range(1, decider._CLOSED_CHECK_M_MAX + 1, 2):
+            wrong = {**sums, m: sums[m] + (k * (k + 1)) ** 2}
+            with pytest.raises(RuntimeError, match=f"disagrees with closed form: k={k}, m={m}$"):
+                decider._crosscheck_powersums(k, wrong)
 
 
 def test_warm_closed_row_memo_still_rejects_a_corrupted_batch(monkeypatch):

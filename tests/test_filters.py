@@ -56,9 +56,10 @@ def test_filter_report_is_a_named_tuple():
 
 
 def test_center_valuation_filter():
-    assert filter_g_ge_e_plus_1(8, 16).outcome == PASS  # g = 4 >= e+1 = 4
-    assert filter_g_ge_e_plus_1(4, 4).outcome == FAIL  # g = 2 < e+1 = 3
-    assert filter_g_ge_e_plus_1(3, 2).outcome == PASS  # e = 0
+    # (e, g) = (nu_2(ell), nu_2(w)) of (ell, w) = (8, 16), (4, 4) and (3, 2)
+    assert filter_g_ge_e_plus_1(3, 4).outcome == PASS  # g = 4 >= e+1 = 4
+    assert filter_g_ge_e_plus_1(2, 2).outcome == FAIL  # g = 2 < e+1 = 3
+    assert filter_g_ge_e_plus_1(0, 1).outcome == PASS  # e = 0
 
 
 def test_w_plus_1_prime_filter():
@@ -81,11 +82,11 @@ def test_w_plus_1_prime_filter_inconclusive_routes_forward(monkeypatch):
 
 
 def test_exponent_budget_filter():
-    assert filter_3f_plus_3(8, 1).outcome == PASS  # f = 1, 6 <= 8
-    assert filter_3f_plus_3(6, 3).outcome == FAIL  # f = nu_2(12) = 2, 9 > 6
+    assert filter_3f_plus_3(8, 1).outcome == PASS  # k = 1: f = 1, 6 <= 8
+    assert filter_3f_plus_3(6, 2).outcome == FAIL  # k = 3: f = nu_2(12) = 2, 9 > 6
     for ell in (3, 4, 5):
         for k in range(1, 51):
-            assert filter_3f_plus_3(ell, k).outcome == FAIL, (ell, k)
+            assert filter_3f_plus_3(ell, nu(k * (k + 1))).outcome == FAIL, (ell, k)
     with pytest.raises(ValueError):
         filter_3f_plus_3(2, 1)
 
@@ -214,8 +215,50 @@ def test_center_valuation_failures_are_never_roots():
     for ell, k, w in _window_candidates(range(4, 41, 2), 20):
         if filter_radical(k, w).failed:
             continue
-        if filter_g_ge_e_plus_1(ell, w).outcome == FAIL:
+        if filter_g_ge_e_plus_1(nu(ell), nu(w)).outcome == FAIL:
             assert eval_f(build_f(ell, k), w) != 0, (ell, k, w)
+
+
+def test_decide_builds_each_valuation_report_once_per_value(monkeypatch):
+    # fast decide(999) has 296 candidates but only 4 distinct g = nu_2(w)
+    # and 8 distinct f = nu_2(k(k+1)): one report per value, not per candidate
+    calls = {"filter_g_ge_e_plus_1": [], "filter_3f_plus_3": []}
+    for name, seen in calls.items():
+        def spy(*args, real=getattr(decider, name), seen=seen):
+            seen.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(decider, name, spy)
+    cert = decider.decide(999)
+    candidates = [(rec.k, ev.w) for rec in cert.candidates for ev in rec.per_candidate]
+    assert len(candidates) == 296
+    gs = sorted({nu(w) for _, w in candidates})
+    fs = sorted({nu(k * (k + 1)) for k, _ in candidates})
+    assert sorted(calls["filter_g_ge_e_plus_1"]) == [(0, g) for g in gs] and len(gs) == 4
+    assert sorted(calls["filter_3f_plus_3"]) == [(999, f) for f in fs] and len(fs) == 8
+
+
+@pytest.mark.parametrize("mode", [decider.FAST, decider.PARANOID])
+def test_valuation_reports_are_shared_and_equal_fresh_ones(mode):
+    # every candidate's g_ge_e_plus_1 and 3f_plus_3 reports equal fresh ones
+    # on its own (e, g) and (ell, f); within one certificate, candidates with
+    # equal g or equal f share one report object, and the reports keep
+    # their order
+    for cert in decider.sweep(3, 400, mode=mode):
+        ell = cert.ell
+        order = ["radical", "g_ge_e_plus_1", "3f_plus_3"] + ["w_plus_1_primes"] * (ell % 2 == 0)
+        shared = {}
+        for rec in cert.candidates:
+            f = nu(rec.k * (rec.k + 1))
+            for ev in rec.per_candidate:
+                g = nu(ev.w)
+                names = [r.name for r in ev.filters]
+                assert names in (order, [*order, "modular_collapse"]), (ell, rec.k, ev.w)
+                g_report, f_report = ev.filters[1:3]
+                assert g_report == filter_g_ge_e_plus_1(nu(ell), g), (ell, rec.k, ev.w)
+                assert f_report == filter_3f_plus_3(ell, f), (ell, rec.k, ev.w)
+                assert shared.setdefault(("g", g), g_report) is g_report, (ell, rec.k, ev.w)
+                assert shared.setdefault(("f", f), f_report) is f_report, (ell, rec.k, ev.w)
 
 
 def _reference_collapse(ell, k, g, sums):

@@ -43,6 +43,7 @@ class Mutant(NamedTuple):
 EQ_WINDOWS = "tests/test_equation.py::test_balance_sign_matches_direct_summation_on_every_window"
 EQ_FEW_BITS = "tests/test_equation.py::test_interval_sign_agrees_when_it_starts_at_a_few_bits"
 EQ_BRACKETS = "tests/test_equation.py::test_power_bounds_bracket_the_power"
+FILTERS_SHARED = "tests/test_filters.py::test_valuation_reports_are_shared_and_equal_fresh_ones"
 
 MUTANTS = (
     Mutant(
@@ -245,8 +246,14 @@ MUTANTS = (
     ),
     Mutant(
         "closed_row_stops_short", "decider.py",
-        "for m in range(1, _CLOSED_CHECK_M_MAX + 1, 2))",
-        "for m in range(1, _CLOSED_CHECK_M_MAX - 1, 2))",
+        "for m in range(1, _CLOSED_ROW_M_MAX + 1, 2))",
+        "for m in range(1, _CLOSED_ROW_M_MAX - 1, 2))",
+        ("tests/test_decider.py::test_closed_row_is_faulhaber_at_every_checked_m",),
+    ),
+    Mutant(
+        "grown_batch_faulhaber_stops_short", "decider.py",
+        "islice(sums, len(closed), _CLOSED_CHECK_M_MAX // 2 + 1)",
+        "islice(sums, len(closed), _CLOSED_CHECK_M_MAX // 2)",
         ("tests/test_decider.py::test_closed_row_is_faulhaber_at_every_checked_m",),
     ),
     Mutant(
@@ -286,10 +293,30 @@ MUTANTS = (
     ),
     Mutant(
         "decide_passes_w_for_g", "decider.py",
-        "check_modular_collapse(ell, k, nu(w))",
+        "check_modular_collapse(ell, k, g)",
         "check_modular_collapse(ell, k, w)",
         ("tests/test_filters.py::test_collapse_matches_reference_on_every_sweep_replay",
          "tests/test_decider.py::test_certificate_bytes_are_pinned"),
+    ),
+    Mutant(
+        "g_reports_keyed_by_e", "decider.py",
+        "g_report = g_reports.get(g)\n"
+        "            if g_report is None:\n"
+        "                g_report = g_reports[g] =",
+        "g_report = g_reports.get(e)\n"
+        "            if g_report is None:\n"
+        "                g_report = g_reports[e] =",
+        (f"{FILTERS_SHARED}[fast]", "tests/test_decider.py::test_certificate_bytes_are_pinned"),
+    ),
+    Mutant(
+        "f_report_once_per_exponent_from_k_1", "decider.py",
+        "f_report = f_reports.get(f)\n"
+        "        if f_report is None:\n"
+        "            f_report = f_reports[f] =",
+        "f_report = f_reports.get(0)\n"
+        "        if f_report is None:\n"
+        "            f_report = f_reports[0] =",
+        (f"{FILTERS_SHARED}[fast]", "tests/test_decider.py::test_certificate_bytes_are_pinned"),
     ),
     Mutant(
         "collapse_accepts_g_0", "filters.py",
